@@ -9,7 +9,7 @@ number).  Unknown keys are rejected.
 CSV columns: independent variable first (t_us, eta, tau1_us, tau2_us, or
 tau_tilde_us), then p_p2, p_p1, p_0, p_m1, p_m2, then envelope or survival
 where meaningful.  Floats are written with 9 significant digits.  Output is
-deterministic for a given (config, seed, samples) and any worker count.
+deterministic for a given (config, seed, samples).
 
 Exit codes: 0 success, 1 config error (the message names the offending
 key), 2 numerical failure.
@@ -21,6 +21,7 @@ the fitted parameters to stdout, and write the fitted model curve as CSV.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -28,13 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from . import ensemble, fit, propagator, stirap
-from .core import (
-    StateVector,
-    TWO_PI,
-    zeeman_state,
-)
-from .parallel import ordered_map
+from . import ensemble, fit, stirap
+from .core import TWO_PI, mixture, zeeman_state
 from .propagator import (
     FieldConfig,
     HamiltonianKind,
@@ -68,11 +64,14 @@ def _unit_value(key: str, raw, units: dict[str, float], kind: str) -> float:
     match = re.fullmatch(rf"\s*({_NUMBER})\s*(\S+)\s*", raw)
     if not match:
         raise ConfigError(f"{key}: cannot parse {raw!r} as '<number> <unit>'")
-    value, unit = match.groups()
+    number, unit = match.groups()
     if unit not in units:
         allowed = ", ".join(sorted(units))
         raise ConfigError(f"{key}: unknown {kind} unit {unit!r} (allowed: {allowed})")
-    return float(value) * units[unit]
+    value = float(number) * units[unit]
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: {raw!r} is not a finite {kind}")
+    return value
 
 
 def parse_frequency(key: str, raw) -> float:
@@ -115,6 +114,8 @@ def parse_seed(key: str, raw) -> int:
 def parse_number(key: str, raw) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {raw!r}")
+    if not math.isfinite(raw):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
     return float(raw)
 
 
@@ -181,19 +182,11 @@ def _initial_mixture(params: dict) -> np.ndarray:
     return weights
 
 
-def _mixture_trace(specs: HamiltonianSpec, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _mixture_trace(spec: HamiltonianSpec, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Population trace of an incoherent mixture of Zeeman basis states."""
-    nonzero = [(w, m) for w, m in zip(weights, (2, 1, 0, -1, -2)) if w > 0]
-
-    def one(arg):
-        _, m = arg
-        return evolve_populations(zeeman_state(2, m), specs, times, tol=1e-9)
-
-    traces = ordered_map(one, nonzero)
-    total = np.zeros((times.size, 5))
-    for (w, _), tr in zip(nonzero, traces):
-        total += w * tr
-    return total
+    return mixture(
+        weights, lambda m: evolve_populations(zeeman_state(2, m), spec, times, tol=1e-9)
+    )
 
 
 def _run_rabi(params: dict, kind: HamiltonianKind) -> RunOutput:
@@ -247,17 +240,11 @@ def _run_stirap(params: dict) -> RunOutput:
 
 
 def _run_fstirap_scan(params: dict) -> RunOutput:
-    etas = np.linspace(params["eta_min"], params["eta_max"], params["points"])
-
-    def one(eta: float):
+    rows = []
+    for eta in np.linspace(params["eta_min"], params["eta_max"], params["points"]):
         final, survival = stirap.simulate_stirap(_stirap_params(params, float(eta)))
-        return stirap.chain_to_zeeman_populations(final), survival
-
-    results = ordered_map(one, etas)
-    rows = np.array(
-        [[eta, *pops, survival] for eta, (pops, survival) in zip(etas, results)]
-    )
-    return RunOutput(["eta", *P_COLUMNS, "survival"], rows)
+        rows.append([eta, *stirap.chain_to_zeeman_populations(final), survival])
+    return RunOutput(["eta", *P_COLUMNS, "survival"], np.array(rows))
 
 
 def _ensemble_inputs(params: dict, seed: int, samples: int):
@@ -273,13 +260,12 @@ def _ensemble_inputs(params: dict, seed: int, samples: int):
 
 
 def _mixture_ensemble_curve(cfg, spec, weights, kind, tau1, tau2, method) -> np.ndarray:
-    total = np.zeros((np.atleast_1d(tau1).size, 5))
-    for w, m in zip(weights, (2, 1, 0, -1, -2)):
-        if w > 0:
-            total += w * ensemble.ensemble_average_curve(
-                cfg, spec, kind, tau1, tau2, initial=zeeman_state(2, m), method=method
-            )
-    return total
+    return mixture(
+        weights,
+        lambda m: ensemble.ensemble_average_curve(
+            cfg, spec, kind, tau1, tau2, initial=zeeman_state(2, m), method=method
+        ),
+    )
 
 
 def _run_ramsey(params: dict, seed: int, samples: int) -> RunOutput:
@@ -566,8 +552,11 @@ def run_scenario(raw: dict, seed_override=None, samples_override=None) -> RunOut
         raise ConfigError(f"scenario: unknown scenario {name!r} (known: {known})")
     sc = SCENARIOS[name]
     params = sc.parse(raw)
-    seed = seed_override if seed_override is not None else params.get("seed", 0)
-    samples = samples_override if samples_override is not None else params.get("samples", 100_000)
+    seed, samples = params.get("seed", 0), params.get("samples", 100_000)
+    if seed_override is not None:
+        seed = parse_seed("--seed", seed_override)
+    if samples_override is not None:
+        samples = parse_count("--samples", samples_override)
     if "seed" in params:
         params["seed"] = seed
     if "samples" in params:

@@ -1,9 +1,10 @@
 """Spin systems, state vectors, and unit-carrying scalar types.
 
 Everything downstream works in SI units internally (rad/s, tesla, meter,
-second, kelvin, kilogram).  User-facing construction goes through the
-suffix helpers in this module (kilohertz, gauss, microseconds, ...), which
-exist to keep stray factors of 2*pi and 1e-4 out of the physics code.
+second, kelvin, kilogram).  Frequencies are built with kilohertz and
+megahertz (ordinary frequencies in, rad/s out), which keep stray factors of
+2*pi out of the physics code; the CLI converts its unit-suffixed config
+values to SI when it parses them.
 
 The Zeeman basis is ordered m = +J ... -J throughout the package.
 """
@@ -17,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+ZEEMAN_M = (2, 1, 0, -1, -2)  # spin-2 projections in basis order
 
 _ATOMIC_MASS_KG = 1.66053906660e-27
 _NE20_MASS_U = 19.9924401762
@@ -68,33 +70,6 @@ def megahertz(f: float) -> AngularFrequency:
 def rad_per_s(value) -> float:
     """Coerce an AngularFrequency or a plain rad/s float to float."""
     return float(value)
-
-
-# unit suffix helpers (paper units in, SI out)
-def gauss(x: float) -> float:
-    """Magnetic field, G -> T."""
-    return x * 1e-4
-
-
-def milligauss(x: float) -> float:
-    return x * 1e-7
-
-
-def milligauss_per_mm(x: float) -> float:
-    """Field gradient, mG/mm -> T/m."""
-    return x * 1e-4
-
-
-def millimeters(x: float) -> float:
-    return x * 1e-3
-
-
-def microseconds(x: float) -> float:
-    return x * 1e-6
-
-
-def millikelvin(x: float) -> float:
-    return x * 1e-3
 
 
 @dataclass(frozen=True)
@@ -235,6 +210,15 @@ class Populations:
 
     def __getitem__(self, i) -> float:
         return float(self.p[i])
+
+
+def mixture(weights, curve) -> np.ndarray:
+    """Incoherent mixture of the spin-2 Zeeman basis states: the sum of
+    w * curve(m) over m = +2 ... -2 in that order, skipping w = 0."""
+    terms = [w * curve(m) for w, m in zip(weights, ZEEMAN_M) if w != 0]
+    if not terms:
+        raise ValueError("a mixture needs at least one nonzero weight")
+    return sum(terms[1:], terms[0])
 
 
 def populations(state: StateVector) -> Populations:

@@ -36,7 +36,6 @@ from functools import lru_cache
 import numpy as np
 
 from .core import CONSTANTS, Populations, StateVector, build_spin_system
-from .parallel import ordered_map
 from .propagator import FieldConfig
 from .rotations import Angle, RotationAxis, rotation_operator
 
@@ -226,19 +225,6 @@ def _carrier_and_variance(field: FieldConfig, spec: EnsembleSpec, kind: Sequence
     return a, var
 
 
-def _damped_harmonic_curve(
-    field: FieldConfig,
-    spec: EnsembleSpec,
-    kind: SequenceKind,
-    tau1,
-    tau2,
-    coeffs: np.ndarray,
-) -> np.ndarray:
-    """Evaluate sum_k <e^{i k phi}> f_k for harmonic coefficients f_k."""
-    a, var = _carrier_and_variance(field, spec, kind, tau1, tau2)
-    return _harmonic_sum(a, var, coeffs)
-
-
 def _harmonic_sum(a, var, coeffs: np.ndarray) -> np.ndarray:
     """sum_k <e^{i k phi}> f_k for a Gaussian phase with mean a and variance
     var (arrays over timings); coeffs is (harmonic, column)."""
@@ -260,13 +246,8 @@ def _analytic_curve(
     initial: StateVector,
 ) -> np.ndarray:
     """Analytic ensemble average over arrays of timings, shape (n, dim)."""
-    return _damped_harmonic_curve(field, spec, kind, tau1, tau2, _phase_harmonics(initial, kind))
-
-
-def _analytic_average(
-    field: FieldConfig, spec: EnsembleSpec, timing: SequenceTiming, initial: StateVector
-) -> np.ndarray:
-    return _analytic_curve(field, spec, timing.kind, timing.tau1, timing.tau2, initial)[0]
+    a, var = _carrier_and_variance(field, spec, kind, tau1, tau2)
+    return _harmonic_sum(a, var, _phase_harmonics(initial, kind))
 
 
 def _mc_average(
@@ -275,9 +256,8 @@ def _mc_average(
     """Monte Carlo ensemble average.
 
     Samples are partitioned into fixed-size batches; batch i draws from the
-    i-th child of SeedSequence(seed) and partial sums are reduced in batch
-    order, so the result is bit-identical for a given (seed, n_samples)
-    regardless of how many workers execute the batches.
+    i-th child of SeedSequence(seed) and the batch sums are added in batch
+    order, so the result is bit-identical for a given (seed, n_samples).
     """
     if spec.n_samples < 100:
         warnings.warn(
@@ -287,15 +267,12 @@ def _mc_average(
         )
     n_batches = math.ceil(spec.n_samples / _MC_BATCH)
     children = np.random.SeedSequence(spec.seed).spawn(n_batches)
-    sizes = [
-        _MC_BATCH if (i + 1) * _MC_BATCH <= spec.n_samples else spec.n_samples - i * _MC_BATCH
-        for i in range(n_batches)
-    ]
-
-    def batch_sum(i: int) -> np.ndarray:
-        rng = np.random.default_rng(children[i])
-        z0 = rng.normal(0.0, spec.sigma_z0, sizes[i])
-        vz = rng.normal(0.0, spec.sigma_vz, sizes[i])
+    total = np.zeros(initial.dim)
+    for i, child in enumerate(children):
+        size = min(_MC_BATCH, spec.n_samples - i * _MC_BATCH)
+        rng = np.random.default_rng(child)
+        z0 = rng.normal(0.0, spec.sigma_z0, size)
+        vz = rng.normal(0.0, spec.sigma_vz, size)
         if timing.kind is SequenceKind.RAMSEY:
             phi = float(field.constants.gamma * field.b0) * timing.tau1 + field.gamma_b1 * (
                 z0 * timing.tau1 + 0.5 * vz * timing.tau1**2
@@ -307,12 +284,7 @@ def _mc_average(
                 - field.gamma_b1 * z0 * dtau
                 + 0.5 * field.gamma_b1 * vz * (dtau**2 - 2 * timing.tau2**2)
             )
-        return _population_batch(initial, timing.kind, phi).sum(axis=0)
-
-    partials = ordered_map(batch_sum, range(n_batches))
-    total = np.zeros(initial.dim)
-    for part in partials:
-        total += part
+        total += _population_batch(initial, timing.kind, phi).sum(axis=0)
     return total / spec.n_samples
 
 
@@ -325,7 +297,9 @@ def ensemble_average(
 ) -> Populations:
     """Ensemble-averaged populations after the sequence at one timing."""
     if method is AverageMethod.ANALYTIC:
-        return Populations(_analytic_average(field, spec, timing, initial))
+        return Populations(
+            _analytic_curve(field, spec, timing.kind, timing.tau1, timing.tau2, initial)[0]
+        )
     return Populations(_mc_average(field, spec, timing, initial))
 
 

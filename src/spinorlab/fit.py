@@ -50,9 +50,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar, nnls
+from scipy.optimize import minimize_scalar, nnls
 
-from .core import CONSTANTS, zeeman_state
+from .core import CONSTANTS, ZEEMAN_M, mixture, zeeman_state
 from .ensemble import (
     EnsembleSpec,
     SequenceKind,
@@ -63,7 +63,6 @@ from .ensemble import (
 from .propagator import FieldConfig
 from .rotations import rotation_population_curve
 
-_M_STATES = (2, 1, 0, -1, -2)
 _POP_KEYS = ("p_plus2_0", "p_plus1_0", "p_zero_0", "p_minus1_0", "p_minus2_0")
 _GRID_PER_DECADE = 16
 _GUESS_SPAN = 2.0
@@ -119,43 +118,6 @@ class FitResult:
     def __post_init__(self):
         if self.residual_rms < 0:
             raise ValueError("residual_rms must be >= 0")
-
-
-def _multistart_minimize(objective, x0: np.ndarray, seed: int = 0, n_starts: int = 5):
-    """Nelder-Mead from jittered starts; best (then earliest) result wins.
-
-    The best objective value along each accepted simplex step is
-    non-increasing; the per-start histories are kept for property tests.
-    The fitters do not use it.
-    """
-    rng = np.random.default_rng(seed)
-    starts = [x0]
-    for _ in range(n_starts - 1):
-        starts.append(x0 * (1 + 0.08 * rng.standard_normal(x0.size)) + 0.01 * rng.standard_normal(x0.size))
-    best = None
-    histories = []
-    for idx, start in enumerate(starts):
-        history = []
-
-        def track(xk, hist=history):
-            hist.append(objective(np.asarray(xk, dtype=float)))
-
-        res = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            callback=track,
-            options={
-                "maxiter": 1500,
-                "xatol": 1e-9,
-                "fatol": 1e-11,
-                "adaptive": True,
-            },
-        )
-        histories.append(history)
-        if best is None or res.fun < best[1].fun:
-            best = (idx, res)
-    return best[1], histories
 
 
 class _Profile:
@@ -260,11 +222,7 @@ def _require_enough_points(data: TimeSeries, minimum: int = 2) -> None:
 def rabi_model_curve(times: np.ndarray, omega: float, weights: np.ndarray) -> np.ndarray:
     """Incoherent mixture of the closed-form rotation curves."""
     theta = 0.5 * omega * np.asarray(times, dtype=float)
-    out = np.zeros((times.size, 5))
-    for w, m0 in zip(weights, _M_STATES):
-        if w != 0:
-            out += w * rotation_population_curve(m0, theta)
-    return out
+    return mixture(weights, lambda m: rotation_population_curve(m, theta))
 
 
 def fit_rabi(data: TimeSeries, initial_guess: dict | None = None) -> FitResult:
@@ -283,7 +241,7 @@ def fit_rabi(data: TimeSeries, initial_guess: dict | None = None) -> FitResult:
 
     def basis(omega):
         theta = 0.5 * omega * data.times
-        return np.stack([rotation_population_curve(m, theta) for m in _M_STATES], axis=-1)
+        return np.stack([rotation_population_curve(m, theta) for m in ZEEMAN_M], axis=-1)
 
     return _varpro_fit(data, basis, grid, "omega")
 
@@ -292,7 +250,7 @@ def fit_rabi(data: TimeSeries, initial_guess: dict | None = None) -> FitResult:
 def _basis_coefficients(kind: SequenceKind) -> np.ndarray:
     """Phase-harmonic coefficients of the five Zeeman basis initial states,
     shape (harmonic, channel * initial state)."""
-    coeffs = np.stack([_phase_harmonics(zeeman_state(2, m), kind) for m in _M_STATES], axis=-1)
+    coeffs = np.stack([_phase_harmonics(zeeman_state(2, m), kind) for m in ZEEMAN_M], axis=-1)
     coeffs = coeffs.reshape(coeffs.shape[0], -1)
     coeffs.flags.writeable = False  # shared by every caller through the cache
     return coeffs
@@ -301,7 +259,7 @@ def _basis_coefficients(kind: SequenceKind) -> np.ndarray:
 def _harmonic_basis(kind: SequenceKind, carrier, var) -> np.ndarray:
     """Ensemble curves of the basis states, shape (n, channel, initial state)."""
     out = _harmonic_sum(carrier, var, _basis_coefficients(kind))
-    return out.reshape(out.shape[0], 5, len(_M_STATES))
+    return out.reshape(out.shape[0], 5, len(ZEEMAN_M))
 
 
 def _echo_basis(times: np.ndarray, compound: float) -> np.ndarray:

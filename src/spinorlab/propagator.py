@@ -200,6 +200,29 @@ def _propagate(h_of_t, psi0: np.ndarray, times: np.ndarray, h_max: float) -> np.
 _MAX_REFINEMENTS = 14
 
 
+def _populations(amplitudes: np.ndarray) -> np.ndarray:
+    return np.abs(amplitudes) ** 2
+
+
+def _converge(run, h: float, tol: float, observe):
+    """run(h) with the step h halved until observe(run(h)) moves by less
+    than tol from the previous step's; returns that last run(h).  Running
+    out of refinements raises NumericalError (step-size underflow)."""
+    prev = observe(run(h))
+    for _ in range(_MAX_REFINEMENTS):
+        h /= 2
+        result = run(h)
+        cur = observe(result)
+        change = float(np.max(np.abs(cur - prev)))
+        if change < tol:
+            return result
+        prev = cur
+    raise NumericalError(
+        f"step-size underflow: not converged at step {h:.3g} s, "
+        f"last change {change:.3g} against tol {tol:.3g}"
+    )
+
+
 def evolve_populations(
     state: StateVector,
     spec: HamiltonianSpec,
@@ -221,19 +244,13 @@ def evolve_populations(
         raise NumericalError("Hamiltonian has non-finite entries")
     h = _base_step(scales)
     if h is None:  # H is identically zero: nothing evolves
-        return np.tile(np.abs(state.amplitudes) ** 2, (times.size, 1))
-    prev = np.abs(_propagate(h_of_t, state.amplitudes, times, h)) ** 2
-    for _ in range(_MAX_REFINEMENTS):
-        h /= 2
-        cur_amp = _propagate(h_of_t, state.amplitudes, times, h)
-        cur = np.abs(cur_amp) ** 2
-        if np.max(np.abs(cur - prev)) < tol:
-            norms = cur.sum(axis=1)
-            if np.max(np.abs(norms - 1)) > 1e-9:
-                raise NumericalError("norm drifted beyond 1e-9")
-            return cur
-        prev = cur
-    raise NumericalError("step-size underflow: trace did not converge")
+        return np.tile(_populations(state.amplitudes), (times.size, 1))
+    pops = _converge(
+        lambda h: _populations(_propagate(h_of_t, state.amplitudes, times, h)), h, tol, lambda p: p
+    )
+    if np.max(np.abs(pops.sum(axis=1) - 1)) > 1e-9:
+        raise NumericalError("norm drifted beyond 1e-9")
+    return pops
 
 
 def evolve_state(
@@ -257,16 +274,12 @@ def evolve_state(
     h = _base_step(scales)
     if h is None:
         return state
-    prev = _propagate(h_of_t, state.amplitudes, times, h)[-1]
-    for _ in range(_MAX_REFINEMENTS):
-        h /= 2
-        cur = _propagate(h_of_t, state.amplitudes, times, h)[-1]
-        if np.max(np.abs(np.abs(cur) ** 2 - np.abs(prev) ** 2)) < tol:
-            if abs(np.linalg.norm(cur) - 1) > 1e-9:
-                raise NumericalError("norm drifted beyond 1e-9")
-            return StateVector(cur)
-        prev = cur
-    raise NumericalError("step-size underflow: evolution did not converge")
+    psi = _converge(
+        lambda h: _propagate(h_of_t, state.amplitudes, times, h)[-1], h, tol, _populations
+    )
+    if abs(np.linalg.norm(psi) - 1) > 1e-9:
+        raise NumericalError("norm drifted beyond 1e-9")
+    return StateVector(psi)
 
 
 def rotating_frame_state(state: StateVector, omega_rf, t: float) -> StateVector:
@@ -368,14 +381,10 @@ def evolve_classical(
     h = _base_step(scales)
     if h is None:
         return spin
-    prev = _propagate_classical(b_of_t, spin.vector, t0, t1, h)
-    for _ in range(_MAX_REFINEMENTS):
-        h /= 2
-        cur = _propagate_classical(b_of_t, spin.vector, t0, t1, h)
-        if np.max(np.abs(cur - prev)) < tol:
-            return ClassicalSpin(*cur)
-        prev = cur
-    raise NumericalError("step-size underflow: classical evolution did not converge")
+    j = _converge(
+        lambda h: _propagate_classical(b_of_t, spin.vector, t0, t1, h), h, tol, lambda j: j
+    )
+    return ClassicalSpin(*j)
 
 
 def lightshift_vector(

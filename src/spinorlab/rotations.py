@@ -184,13 +184,5 @@ def equilibrium_populations(sys: SpinSystem) -> Populations:
     return Populations((np.abs(dx) ** 2) @ after_first)
 
 
-def compose_x_z_x(sys: SpinSystem, first, z_angle, last) -> np.ndarray:
-    """Operator Dx(last) Dz(z_angle) Dx(first), applied right to left."""
-    dx_first = rotation_operator(sys, RotationAxis.X, first)
-    dx_last = rotation_operator(sys, RotationAxis.X, last)
-    dz = np.exp(-1j * _radians(z_angle) * sys.m_values)
-    return dx_last @ (dz[:, None] * dx_first)
-
-
 def apply_rotation(state: StateVector, operator: np.ndarray) -> StateVector:
     return StateVector(operator @ state.amplitudes)

@@ -12,6 +12,7 @@ from spinorlab.core import (
     Populations,
     StateVector,
     build_spin_system,
+    mixture,
     populations,
     zeeman_state,
 )
@@ -139,3 +140,16 @@ def test_spin_matrices_are_immutable():
     state = zeeman_state(2, 2)
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
+
+
+def test_mixture_sums_nonzero_weights_in_basis_order():
+    called = []
+
+    def curve(m):
+        called.append(m)
+        return np.full(2, float(m))
+
+    assert np.array_equal(mixture([0.5, 0, 0.25, 0, 0.25], curve), [0.5, 0.5])
+    assert called == [2, 0, -2]
+    with pytest.raises(ValueError):
+        mixture([0, 0, 0, 0, 0], curve)

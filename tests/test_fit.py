@@ -7,7 +7,6 @@ from spinorlab.core import CONSTANTS
 from spinorlab.ensemble import EnsembleSpec, SequenceKind, ensemble_average_curve
 from spinorlab.fit import (
     TimeSeries,
-    _multistart_minimize,
     echo_model_curve,
     fit_echo,
     fit_rabi,
@@ -200,16 +199,6 @@ def test_noisy_recovery_ramsey_and_echo():
     noisy = _add_noise(synthetic_echo(13.5, 0.2e-3), 0.02, rng)
     result = fit_echo(noisy, {"sigma_z0": 0.73e-3, "t_axial": 0.2e-3})
     assert result.params["b1"] == pytest.approx(13.5 * MG_PER_MM, rel=0.05)
-
-
-def test_simplex_best_value_never_increases():
-    def rosenbrock(x):
-        return float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
-
-    _, histories = _multistart_minimize(rosenbrock, np.array([0.2, -0.3]), seed=1)
-    assert histories and all(len(h) > 3 for h in histories)
-    for history in histories:
-        assert np.all(np.diff(history) <= 1e-12)
 
 
 def test_fits_are_deterministic():

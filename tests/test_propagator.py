@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spinorlab.propagator import (
     FieldConfig,
     HamiltonianKind,
     HamiltonianSpec,
+    NumericalError,
     evolve_classical,
     evolve_populations,
     evolve_state,
@@ -97,6 +99,20 @@ def test_step_halving_convergence():
     tight = evolve_state(state, spec, 0.0, 10e-6, tol=1e-10)
     assert np.max(np.abs(populations(loose).p - populations(tight).p)) < 1e-6
     assert abs(loose.norm() - 1) < 1e-9
+
+
+def test_unreachable_tol_names_last_step_and_change():
+    # the fastest ROT_RWA scale is Omega, so the base step is
+    # 0.01 * 2 pi / Omega and the 14th halving ends at base / 2**14; a spin
+    # 1/2 over one base step keeps the 2**15 - 1 steps under a second
+    spec = HamiltonianSpec(HamiltonianKind.ROT_RWA, resonant(242, 160))
+    base = 0.01 / 160e3
+    with pytest.raises(NumericalError) as info:
+        evolve_state(zeeman_state(0.5, 0.5), spec, 0.0, base, tol=1e-30)
+    message = str(info.value)
+    assert f"step {base / 2**14:.3g} s" in message
+    change = re.search(r"last change (\S+) against tol 1e-30", message)
+    assert change and float(change.group(1)) >= 1e-30
 
 
 def test_zero_hamiltonian_is_static():

@@ -124,6 +124,11 @@ def test_params_validation():
         paper_pulses(eta=-0.5)
     with pytest.raises(ValueError):
         paper_pulses(gamma_e=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            paper_pulses(eta=bad)
+        with pytest.raises(ValueError, match="gamma_e must be finite"):
+            paper_pulses(gamma_e=bad)
 
 
 # ------------------------------------------------------------- closed forms
