@@ -247,13 +247,13 @@ def _run_fstirap_scan(params: dict) -> RunOutput:
     return RunOutput(["eta", *P_COLUMNS, "survival"], np.array(rows))
 
 
-def _ensemble_inputs(params: dict, seed: int, samples: int):
+def _ensemble_inputs(params: dict):
     cfg = FieldConfig(b0=params["b0"], b1=params["b1"])
     spec = ensemble.EnsembleSpec(
         sigma_z0=params["sigma_z0"],
         t_axial=params["t_axial"],
-        n_samples=samples,
-        seed=seed,
+        n_samples=params["samples"],
+        seed=params["seed"],
     )
     weights = _initial_mixture(params)
     return cfg, spec, weights
@@ -268,8 +268,8 @@ def _mixture_ensemble_curve(cfg, spec, weights, kind, tau1, tau2, method) -> np.
     )
 
 
-def _run_ramsey(params: dict, seed: int, samples: int) -> RunOutput:
-    cfg, spec, weights = _ensemble_inputs(params, seed, samples)
+def _run_ramsey(params: dict) -> RunOutput:
+    cfg, spec, weights = _ensemble_inputs(params)
     tau1 = np.linspace(0.0, params["tau_max"], params["points"])
     pops = _mixture_ensemble_curve(
         cfg, spec, weights, ensemble.SequenceKind.RAMSEY, tau1, None, params["method"]
@@ -279,8 +279,8 @@ def _run_ramsey(params: dict, seed: int, samples: int) -> RunOutput:
     return RunOutput(["tau1_us", *P_COLUMNS, "envelope"], rows)
 
 
-def _run_echo(params: dict, seed: int, samples: int) -> RunOutput:
-    cfg, spec, weights = _ensemble_inputs(params, seed, samples)
+def _run_echo(params: dict) -> RunOutput:
+    cfg, spec, weights = _ensemble_inputs(params)
     tau2 = np.linspace(0.0, params["tau2_max"], params["points"])
     tau1 = np.full_like(tau2, params["tau1"])
     pops = _mixture_ensemble_curve(
@@ -291,8 +291,8 @@ def _run_echo(params: dict, seed: int, samples: int) -> RunOutput:
     return RunOutput(["tau2_us", *P_COLUMNS, "envelope"], rows)
 
 
-def _run_echo_scan(params: dict, seed: int, samples: int) -> RunOutput:
-    cfg, spec, weights = _ensemble_inputs(params, seed, samples)
+def _run_echo_scan(params: dict) -> RunOutput:
+    cfg, spec, weights = _ensemble_inputs(params)
     tau = np.linspace(0.0, params["tau_sum_max"] / 2, params["points"])
     pops = _mixture_ensemble_curve(
         cfg, spec, weights, ensemble.SequenceKind.ECHO, tau, tau, params["method"]
@@ -442,31 +442,31 @@ def _scenarios() -> dict[str, Scenario]:
             "rabi",
             _RABI_KEYS,
             _RABI_OPT,
-            lambda p, s, n: _run_rabi(p, HamiltonianKind.ROT_RWA),
+            lambda p: _run_rabi(p, HamiltonianKind.ROT_RWA),
         ),
         Scenario(
             "rabi-lab",
             _RABI_KEYS,
             _RABI_OPT,
-            lambda p, s, n: _run_rabi(p, HamiltonianKind.LAB_FULL),
+            lambda p: _run_rabi(p, HamiltonianKind.LAB_FULL),
         ),
         Scenario(
             "two-level",
             _RABI_KEYS,
             {"shift_scale": (parse_frequency, TWO_PI * 1e6), **_POP_OPTIONALS},
-            lambda p, s, n: _run_two_level(p),
+            _run_two_level,
         ),
         Scenario(
             "stirap",
             _STIRAP_REQ,
             {"eta": (parse_number, 0.0), "points": (parse_count, 200), **_STIRAP_OPT},
-            lambda p, s, n: _run_stirap(p),
+            _run_stirap,
         ),
         Scenario(
             "fstirap-scan",
             {**_STIRAP_REQ, "eta_max": parse_number},
             {"eta_min": (parse_number, 0.0), "points": (parse_count, 25), **_STIRAP_OPT},
-            lambda p, s, n: _run_fstirap_scan(p),
+            _run_fstirap_scan,
         ),
         Scenario(
             "ramsey",
@@ -490,7 +490,7 @@ def _scenarios() -> dict[str, Scenario]:
             "fit-rabi",
             {"data": parse_path},
             {"omega_guess": (parse_frequency, None)},
-            lambda p, s, n: _run_fit_rabi(p),
+            _run_fit_rabi,
         ),
         Scenario(
             "fit-ramsey",
@@ -501,7 +501,7 @@ def _scenarios() -> dict[str, Scenario]:
                 "t_axial": parse_temperature,
             },
             {},
-            lambda p, s, n: _run_fit_ramsey(p),
+            _run_fit_ramsey,
         ),
         Scenario(
             "fit-echo",
@@ -511,7 +511,7 @@ def _scenarios() -> dict[str, Scenario]:
                 "t_axial": (parse_temperature, None),
                 "b1": (parse_gradient, None),
             },
-            lambda p, s, n: _run_fit_echo(p),
+            _run_fit_echo,
         ),
     ]
     return {sc.name: sc for sc in entries}
@@ -552,16 +552,16 @@ def run_scenario(raw: dict, seed_override=None, samples_override=None) -> RunOut
         raise ConfigError(f"scenario: unknown scenario {name!r} (known: {known})")
     sc = SCENARIOS[name]
     params = sc.parse(raw)
-    seed, samples = params.get("seed", 0), params.get("samples", 100_000)
-    if seed_override is not None:
-        seed = parse_seed("--seed", seed_override)
-    if samples_override is not None:
-        samples = parse_count("--samples", samples_override)
-    if "seed" in params:
-        params["seed"] = seed
-    if "samples" in params:
-        params["samples"] = samples
-    return sc.runner(params, seed, samples)
+    for key, override, parser in (
+        ("seed", seed_override, parse_seed),
+        ("samples", samples_override, parse_count),
+    ):
+        if override is None:
+            continue
+        if key not in sc.optional:
+            raise ConfigError(f"--{key}: scenario '{name}' takes no {key}")
+        params[key] = parser(f"--{key}", override)
+    return sc.runner(params)
 
 
 def list_scenarios() -> str:

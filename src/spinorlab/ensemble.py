@@ -41,6 +41,7 @@ from .rotations import Angle, RotationAxis, rotation_operator
 
 _N_HARMONICS = 4
 _MC_BATCH = 16384
+_HARMONICS_CACHE_SIZE = 64
 
 
 class SequenceKind(Enum):
@@ -145,25 +146,25 @@ def _population_batch(initial: StateVector, kind: SequenceKind, phis: np.ndarray
     return np.abs(amp) ** 2
 
 
-_harmonics_cache: dict = {}
-
-
 def _phase_harmonics(initial: StateVector, kind: SequenceKind) -> np.ndarray:
     """Fourier coefficients f_k, k = 0..4, of p_m(phi); shape (5, dim).
 
     p_m(phi) = f_0[m] + sum_k 2 Re(f_k[m] e^{i k phi}).  Sixteen uniform
-    samples are exact for a trigonometric polynomial of order four.
+    samples are exact for a trigonometric polynomial of order four.  The
+    result is read-only: it is shared through a cache that holds the
+    _HARMONICS_CACHE_SIZE most recently used (kind, amplitudes) pairs.
     """
-    key = (kind, initial.amplitudes.tobytes())
-    cached = _harmonics_cache.get(key)
-    if cached is not None:
-        return cached
+    return _cached_phase_harmonics(kind, initial.amplitudes.tobytes())
+
+
+@lru_cache(maxsize=_HARMONICS_CACHE_SIZE)
+def _cached_phase_harmonics(kind: SequenceKind, amplitudes: bytes) -> np.ndarray:
     n = 16
     phis = 2 * math.pi * np.arange(n) / n
+    initial = StateVector(np.frombuffer(amplitudes, dtype=complex))
     p = _population_batch(initial, kind, phis)  # (16, dim)
-    coeffs = np.fft.fft(p, axis=0) / n
-    coeffs = coeffs[: _N_HARMONICS + 1]
-    _harmonics_cache[key] = coeffs
+    coeffs = np.fft.fft(p, axis=0)[: _N_HARMONICS + 1] / n
+    coeffs.flags.writeable = False
     return coeffs
 
 

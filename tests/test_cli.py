@@ -234,6 +234,20 @@ def test_bad_override_flag_exits_one_naming_it(tmp_path, capsys, flag, value):
     assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "9"), ("--samples", "5")])
+@pytest.mark.parametrize(
+    "text",
+    [RABI_CONFIG, "scenario: fit-rabi\ndata: never-read.csv\n"],
+    ids=["rabi", "fit-rabi"],
+)
+def test_override_flag_without_its_key_exits_one(tmp_path, capsys, text, flag, value):
+    cfg = write_config(tmp_path, "cfg.yaml", text)
+    out = tmp_path / "x.csv"
+    assert run_cli(["run", cfg, "--out", str(out), flag, value]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
+    assert not out.exists()
+
+
 def test_unknown_scenario_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.yaml", "scenario: warp-drive\n")
     assert run_cli(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 1

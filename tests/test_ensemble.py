@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorlab.core import CONSTANTS, build_spin_system, zeeman_state
+from spinorlab import ensemble
+from spinorlab.core import CONSTANTS, StateVector, build_spin_system, zeeman_state
 from spinorlab.ensemble import (
     AverageMethod,
     EnsembleSpec,
@@ -268,3 +269,20 @@ def test_curve_shapes_and_mixture():
         ECHO_FIELD, THERMAL, SequenceKind.ECHO, 25e-6, tau
     )
     assert echo_curve.shape == (11, 5)
+
+
+def test_harmonics_cache_stays_bounded_and_results_unchanged():
+    tau = np.linspace(0, 50e-6, 7)
+    first = ensemble_average_curve(RAMSEY_FIELD, THERMAL, SequenceKind.RAMSEY, tau)
+    limit = ensemble._cached_phase_harmonics.cache_info().maxsize
+    rng = np.random.default_rng(5)
+    for _ in range(3 * limit):
+        state = StateVector.normalized(rng.normal(size=5) + 1j * rng.normal(size=5))
+        curve = ensemble_average_curve(
+            RAMSEY_FIELD, THERMAL, SequenceKind.RAMSEY, tau, initial=state
+        )
+        assert np.allclose(curve.sum(axis=1), 1.0, atol=1e-12)
+        assert ensemble._cached_phase_harmonics.cache_info().currsize <= limit
+    # |+2> was evicted and is computed again with the same bits
+    again = ensemble_average_curve(RAMSEY_FIELD, THERMAL, SequenceKind.RAMSEY, tau)
+    np.testing.assert_array_equal(again, first)

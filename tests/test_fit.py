@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spinorlab.core import CONSTANTS
+from spinorlab import fit
+from spinorlab.core import CONSTANTS, ZEEMAN_M, build_spin_system
 from spinorlab.ensemble import EnsembleSpec, SequenceKind, ensemble_average_curve
 from spinorlab.fit import (
     TimeSeries,
@@ -14,7 +15,7 @@ from spinorlab.fit import (
     rabi_model_curve,
 )
 from spinorlab.propagator import FieldConfig
-from spinorlab.rotations import rotation_population_curve
+from spinorlab.rotations import equilibrium_populations, rotation_population_curve
 
 TWO_PI = 2 * math.pi
 MG_PER_MM = 1e-4
@@ -68,6 +69,41 @@ def test_rabi_roundtrip_noisy():
     result = fit_rabi(data)
     assert result.converged
     assert result.params["omega"] == pytest.approx(omega, rel=0.02)
+
+
+def test_rabi_cosine_basis_matches_closed_forms():
+    theta = np.linspace(0.0, 8000.0, 100_001)
+    closed = np.stack([rotation_population_curve(m, theta) for m in ZEEMAN_M], axis=-1)
+    assert np.max(np.abs(fit._rabi_basis(theta) - closed)) < 1e-12
+
+
+def test_rabi_cosine_constant_term_of_plus2_is_equilibrium():
+    constant = fit._rabi_cosine_coefficients()[0].reshape(5, len(ZEEMAN_M))[:, 0]
+    expected = equilibrium_populations(build_spin_system(2)).p
+    np.testing.assert_allclose(constant, expected, rtol=0, atol=1e-15)
+
+
+def test_rabi_fit_at_benchmark_size_builds_basis_once(monkeypatch):
+    omega = TWO_PI * 96e3
+    weights = [0.5, 0.3, 0.2, 0, 0]
+    data = synthetic_rabi(omega, weights, n=1000, t_max=40e-6)
+    calls = []
+
+    def counted(m, theta):
+        calls.append(m)
+        return rotation_population_curve(m, theta)
+
+    monkeypatch.setattr(fit, "rotation_population_curve", counted)
+    fit._rabi_cosine_coefficients.cache_clear()
+    result = fit_rabi(data)
+    # the closed forms are sampled once per basis state, not per evaluation
+    assert len(calls) <= 5
+    assert result.converged
+    # the bounded refinement in ln(omega) stops at about sqrt(eps) |ln omega|,
+    # 2e-7 here, not at its xatol
+    assert result.params["omega"] == pytest.approx(omega, rel=1e-6)
+    fitted = [result.params[k] for k in ("p_plus2_0", "p_plus1_0", "p_zero_0")]
+    np.testing.assert_allclose(fitted, weights[:3], rtol=0, atol=1e-6)
 
 
 def test_rabi_single_point_errors():
