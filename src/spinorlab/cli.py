@@ -191,26 +191,16 @@ def _mixture_trace(spec: HamiltonianSpec, weights: np.ndarray, times: np.ndarray
 
 def _run_rabi(params: dict, kind: HamiltonianKind) -> RunOutput:
     omega0 = params["omega0"]
-    omega_rf = params["omega_rf"] if params["omega_rf"] is not None else omega0
-    cfg = FieldConfig(omega0=omega0, omega_rf=omega_rf, omega_rabi=params["omega_rabi"])
-    spec = HamiltonianSpec(kind=kind, field=cfg)
-    times = np.linspace(0.0, params["duration"], params["points"])
-    pops = _mixture_trace(spec, _initial_mixture(params), times)
-    rows = np.column_stack([times * 1e6, pops])
-    return RunOutput(["t_us", *P_COLUMNS], rows)
-
-
-def _run_two_level(params: dict) -> RunOutput:
+    omega_rf = params.get("omega_rf")
     cfg = FieldConfig(
-        omega0=params["omega0"],
-        omega_rf=params["omega0"],
+        omega0=omega0,
+        omega_rf=omega_rf if omega_rf is not None else omega0,
         omega_rabi=params["omega_rabi"],
     )
-    spec = HamiltonianSpec(
-        kind=HamiltonianKind.LAB_LIGHT_SHIFT,
-        field=cfg,
-        light_shifts=lightshift_from_scale(params["shift_scale"]),
-    )
+    shifts = None
+    if kind is HamiltonianKind.LAB_LIGHT_SHIFT:
+        shifts = lightshift_from_scale(params["shift_scale"])
+    spec = HamiltonianSpec(kind=kind, field=cfg, light_shifts=shifts)
     times = np.linspace(0.0, params["duration"], params["points"])
     pops = _mixture_trace(spec, _initial_mixture(params), times)
     rows = np.column_stack([times * 1e6, pops])
@@ -454,7 +444,7 @@ def _scenarios() -> dict[str, Scenario]:
             "two-level",
             _RABI_KEYS,
             {"shift_scale": (parse_frequency, TWO_PI * 1e6), **_POP_OPTIONALS},
-            _run_two_level,
+            lambda p: _run_rabi(p, HamiltonianKind.LAB_LIGHT_SHIFT),
         ),
         Scenario(
             "stirap",

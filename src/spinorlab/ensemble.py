@@ -88,10 +88,23 @@ class EnsembleSpec:
         return math.sqrt(CONSTANTS.k_b * self.t_axial / self.mass)
 
 
+def _phase(field: FieldConfig, kind: SequenceKind, z0, vz, tau1: float, tau2: float):
+    """Free-evolution phase of :func:`phase_ramsey` or :func:`phase_echo`;
+    z0 and vz may be arrays."""
+    g = field.constants.gamma
+    if kind is SequenceKind.RAMSEY:
+        return g * field.b0 * tau1 + field.gamma_b1 * (z0 * tau1 + 0.5 * vz * tau1**2)
+    dtau = tau2 - tau1
+    return (
+        -g * field.b0 * dtau
+        - field.gamma_b1 * z0 * dtau
+        + 0.5 * field.gamma_b1 * vz * (dtau**2 - 2 * tau2**2)
+    )
+
+
 def phase_ramsey(field: FieldConfig, z0: float, vz: float, tau1: float) -> Angle:
     """Free-evolution phase gamma*B0*tau1 + gamma*B1*(z0 tau1 + vz tau1^2/2)."""
-    g = field.constants.gamma
-    return Angle(g * field.b0 * tau1 + field.gamma_b1 * (z0 * tau1 + 0.5 * vz * tau1**2))
+    return Angle(_phase(field, SequenceKind.RAMSEY, z0, vz, tau1, 0.0))
 
 
 def phase_echo(field: FieldConfig, z0: float, vz: float, tau1: float, tau2: float) -> Angle:
@@ -103,13 +116,7 @@ def phase_echo(field: FieldConfig, z0: float, vz: float, tau1: float, tau2: floa
     Static atoms (vz=0) rephase exactly at tau1 = tau2; moving atoms keep
     phi = -gamma*B1*vz*tau_tilde^2 there.
     """
-    g = field.constants.gamma
-    dtau = tau2 - tau1
-    return Angle(
-        -g * field.b0 * dtau
-        - field.gamma_b1 * z0 * dtau
-        + 0.5 * field.gamma_b1 * vz * (dtau**2 - 2 * tau2**2)
-    )
+    return Angle(_phase(field, SequenceKind.ECHO, z0, vz, tau1, tau2))
 
 
 def _sequence_angles(kind: SequenceKind) -> tuple[float, float]:
@@ -274,17 +281,7 @@ def _mc_average(
         rng = np.random.default_rng(child)
         z0 = rng.normal(0.0, spec.sigma_z0, size)
         vz = rng.normal(0.0, spec.sigma_vz, size)
-        if timing.kind is SequenceKind.RAMSEY:
-            phi = float(field.constants.gamma * field.b0) * timing.tau1 + field.gamma_b1 * (
-                z0 * timing.tau1 + 0.5 * vz * timing.tau1**2
-            )
-        else:
-            dtau = timing.tau2 - timing.tau1
-            phi = (
-                -float(field.constants.gamma * field.b0) * dtau
-                - field.gamma_b1 * z0 * dtau
-                + 0.5 * field.gamma_b1 * vz * (dtau**2 - 2 * timing.tau2**2)
-            )
+        phi = _phase(field, timing.kind, z0, vz, timing.tau1, timing.tau2)
         total += _population_batch(initial, timing.kind, phi).sum(axis=0)
     return total / spec.n_samples
 

@@ -174,20 +174,23 @@ def _log_grid(lo: float, hi: float, per_decade: float = _GRID_PER_DECADE) -> np.
 
 def _varpro_fit(data: TimeSeries, basis, grid: np.ndarray, name: str) -> FitResult:
     """Grid search over the increasing positive values ``grid``, then a
-    bounded refinement in log x between the best point's neighbours.
+    bounded refinement in u = ln(x / x_best) between the best point's
+    neighbours.  Centring u on the best grid point keeps the bounded
+    method's sqrt(eps)*|u| stopping term below ``xatol``.
 
     params hold the fitted value under ``name`` and the five weights.
     """
     profile = _Profile(data, basis)
-    log_grid = np.log(grid)
     i = int(np.argmin([profile.solve(x)[1] for x in grid]))
+    x_best = float(grid[i])
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
     res = minimize_scalar(
-        lambda u: profile.solve(math.exp(u))[1],
-        bounds=(log_grid[max(i - 1, 0)], log_grid[min(i + 1, grid.size - 1)]),
+        lambda u: profile.solve(x_best * math.exp(u))[1],
+        bounds=(math.log(lo / x_best), math.log(hi / x_best)),
         method="bounded",
         options={"xatol": 1e-10},
     )
-    x = math.exp(float(res.x))
+    x = x_best * math.exp(float(res.x))
     weights, rms = profile.solve(x)
     diagnostic = None
     if i in (0, grid.size - 1):

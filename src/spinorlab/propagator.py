@@ -22,9 +22,12 @@ Gauss points, so every step is unitary by construction and the rule is
 fourth-order accurate.  Convergence is certified by step halving.
 
 Classical counterpart: the torque equation dJ/dt = b(t) x J with the same
-coefficient vector b that appears in H = b . J.  This is the Ehrenfest
-companion of the quantum evolution (the sign convention is fixed by that
-correspondence), and each step is an exact rotation, so |J| is conserved.
+coefficient vector b that appears in H = b . J.  It is the same stepper in
+the spin-1 Cartesian representation (L_k)_ij = -i eps_kij: with H = b . L
+the Schrodinger equation for a real 3-vector J reads dJ/dt = b x J, which is
+the Ehrenfest companion of the quantum evolution (the sign convention is
+fixed by that correspondence).  Each step is unitary on the 3-vector, i.e.
+an exact rotation, so |J| is conserved.
 """
 
 from __future__ import annotations
@@ -122,13 +125,13 @@ class HamiltonianSpec:
             raise ValueError("LAB_LIGHT_SHIFT requires a light_shifts vector")
 
 
-def _hamiltonian(spec: HamiltonianSpec, dim: int):
-    """Return (H(t) callable, list of angular frequency scales)."""
-    sys = build_spin_system((dim - 1) / 2)
+def _hamiltonian(spec: HamiltonianSpec, ops):
+    """Return (H(t) callable, list of angular frequency scales) for the
+    operator triple ops = (jx, jy, jz)."""
     w0 = spec.field.resonance
     w = spec.field.omega_rf
     rabi = spec.field.rabi
-    jx, jy, jz = sys.jx, sys.jy, sys.jz
+    jx, jy, jz = ops
     kind = spec.kind
 
     if kind is HamiltonianKind.ROT_RWA:
@@ -147,17 +150,17 @@ def _hamiltonian(spec: HamiltonianSpec, dim: int):
 
         return h_rot, [abs(w0 - w), rabi, 2 * abs(w)]
 
-    diag = w0 * np.diag(jz).real
+    h_static = w0 * jz
     scales = [abs(w0), abs(w), rabi]
     if kind is HamiltonianKind.LAB_LIGHT_SHIFT:
+        dim = jz.shape[0]
         if spec.light_shifts.shape != (dim,):
             raise ValueError(f"light_shifts must have length {dim}")
-        diag = diag + spec.light_shifts
+        h_static = h_static + np.diag(spec.light_shifts)
         scales.append(float(np.max(np.abs(spec.light_shifts))))
-    h_diag = np.diag(diag).astype(complex)
 
     def h_lab(t):
-        return h_diag + rabi * np.cos(w * t) * jx
+        return h_static + rabi * np.cos(w * t) * jx
 
     return h_lab, scales
 
@@ -223,6 +226,34 @@ def _converge(run, h: float, tol: float, observe):
     )
 
 
+def _evolve(spec: HamiltonianSpec, ops, psi0: np.ndarray, times, tol: float, observe):
+    """Trace of psi0 under the spec's Hamiltonian written in the operator
+    triple ``ops``, at the given times, shape (times.size, psi0.size); the
+    step is halved until observe(trace) moves by less than ``tol``."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) < 0):
+        raise ValueError("times must be a non-decreasing 1-d array")
+    h_of_t, scales = _hamiltonian(spec, ops)
+    if not np.all(np.isfinite(h_of_t(times[0]))) or not np.all(np.isfinite(h_of_t(times[-1]))):
+        raise NumericalError("Hamiltonian has non-finite entries")
+    h = _base_step(scales)
+    if h is None:  # H is identically zero: nothing evolves
+        return np.tile(psi0, (times.size, 1))
+    return _converge(lambda h: _propagate(h_of_t, psi0, times, h), h, tol, observe)
+
+
+def _evolve_spin(state: StateVector, spec: HamiltonianSpec, times, tol: float) -> np.ndarray:
+    """Quantum trace of ``state``, converged on populations; every sample
+    must keep unit norm to 1e-9."""
+    sys = build_spin_system((state.dim - 1) / 2)
+    trace = _evolve(spec, (sys.jx, sys.jy, sys.jz), state.amplitudes, times, tol, _populations)
+    if np.max(np.abs(_populations(trace).sum(axis=1) - 1)) > 1e-9:
+        raise NumericalError("norm drifted beyond 1e-9")
+    return trace
+
+
 def evolve_populations(
     state: StateVector,
     spec: HamiltonianSpec,
@@ -234,23 +265,7 @@ def evolve_populations(
     The step is halved until the whole trace moves by less than ``tol``;
     running out of refinements raises NumericalError (step-size underflow).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) < 0):
-        raise ValueError("times must be a non-decreasing 1-d array")
-    h_of_t, scales = _hamiltonian(spec, state.dim)
-    if not np.all(np.isfinite(h_of_t(times[0]))) or not np.all(np.isfinite(h_of_t(times[-1]))):
-        raise NumericalError("Hamiltonian has non-finite entries")
-    h = _base_step(scales)
-    if h is None:  # H is identically zero: nothing evolves
-        return np.tile(_populations(state.amplitudes), (times.size, 1))
-    pops = _converge(
-        lambda h: _populations(_propagate(h_of_t, state.amplitudes, times, h)), h, tol, lambda p: p
-    )
-    if np.max(np.abs(pops.sum(axis=1) - 1)) > 1e-9:
-        raise NumericalError("norm drifted beyond 1e-9")
-    return pops
+    return _populations(_evolve_spin(state, spec, times, tol))
 
 
 def evolve_state(
@@ -263,23 +278,7 @@ def evolve_state(
     """Evolve a state from t0 to t1; converged by step halving on populations."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if t1 == t0:
-        return state
-    h_of_t, scales = _hamiltonian(spec, state.dim)
-    if not np.all(np.isfinite(h_of_t(t0))):
-        raise NumericalError("Hamiltonian has non-finite entries")
-    times = np.array([t0, t1])
-    h = _base_step(scales)
-    if h is None:
-        return state
-    psi = _converge(
-        lambda h: _propagate(h_of_t, state.amplitudes, times, h)[-1], h, tol, _populations
-    )
-    if abs(np.linalg.norm(psi) - 1) > 1e-9:
-        raise NumericalError("norm drifted beyond 1e-9")
-    return StateVector(psi)
+    return StateVector(_evolve_spin(state, spec, [t0, t1], tol)[-1])
 
 
 def rotating_frame_state(state: StateVector, omega_rf, t: float) -> StateVector:
@@ -310,57 +309,13 @@ class ClassicalSpin:
         return float(np.linalg.norm(self.vector))
 
 
-def _field_vector(spec: HamiltonianSpec):
-    w0 = spec.field.resonance
-    w = spec.field.omega_rf
-    rabi = spec.field.rabi
-    kind = spec.kind
-    if kind is HamiltonianKind.LAB_LIGHT_SHIFT:
-        raise ValueError("classical torque evolution is only defined for linear-in-J Hamiltonians")
-    if kind is HamiltonianKind.ROT_RWA:
-        return (lambda t: np.array([0.5 * rabi, 0.0, w0 - w])), [abs(w0 - w), rabi]
-    if kind is HamiltonianKind.ROT_FULL:
-        def b_rot(t):
-            return np.array(
-                [
-                    0.5 * rabi * (1 + np.cos(2 * w * t)),
-                    -0.5 * rabi * np.sin(2 * w * t),
-                    w0 - w,
-                ]
-            )
-
-        return b_rot, [abs(w0 - w), rabi, 2 * abs(w)]
-
-    def b_lab(t):
-        return np.array([rabi * np.cos(w * t), 0.0, w0])
-
-    return b_lab, [abs(w0), abs(w), rabi]
-
-
-def _rotate_about(vec: np.ndarray, axis_angle: np.ndarray) -> np.ndarray:
-    angle = np.linalg.norm(axis_angle)
-    if angle < 1e-300:
-        return vec
-    k = axis_angle / angle
-    return (
-        vec * math.cos(angle)
-        + np.cross(k, vec) * math.sin(angle)
-        + k * np.dot(k, vec) * (1 - math.cos(angle))
-    )
-
-
-def _propagate_classical(b_of_t, j0: np.ndarray, t0: float, t1: float, h_max: float) -> np.ndarray:
-    n = max(1, math.ceil((t1 - t0) / h_max))
-    h = (t1 - t0) / n
-    j = j0.copy()
-    t = t0
-    for _ in range(n):
-        b1 = b_of_t(t + _GAUSS_LO * h)
-        b2 = b_of_t(t + _GAUSS_HI * h)
-        axis = (h / 2) * (b1 + b2) + (_COMM_COEF * h * h) * np.cross(b2, b1)
-        j = _rotate_about(j, axis)
-        t += h
-    return j
+# Cartesian spin-1 generators (L_k)_ij = -i eps_kij: H = b . L moves a real
+# 3-vector by dJ/dt = -i (b . L) J = b x J
+_CARTESIAN = (
+    np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]]),
+    np.array([[0, 0, 1j], [0, 0, 0], [-1j, 0, 0]]),
+    np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]]),
+)
 
 
 def evolve_classical(
@@ -373,18 +328,17 @@ def evolve_classical(
     """Integrate dJ/dt = b(t) x J; every step is a rotation, so |J| is exact."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if t1 == t0:
-        return spin
-    b_of_t, scales = _field_vector(spec)
-    h = _base_step(scales)
-    if h is None:
-        return spin
-    j = _converge(
-        lambda h: _propagate_classical(b_of_t, spin.vector, t0, t1, h), h, tol, lambda j: j
-    )
-    return ClassicalSpin(*j)
+    if spec.kind is HamiltonianKind.LAB_LIGHT_SHIFT:
+        raise ValueError("classical torque evolution is only defined for linear-in-J Hamiltonians")
+    trace = _evolve(spec, _CARTESIAN, spin.vector, [t0, t1], tol, np.real)
+    return ClassicalSpin(*trace[-1].real)
+
+
+def _sigma_plus_weights() -> np.ndarray:
+    """|<2 m; 1 1 | 1 m+1>|^2 for m = +2 ... -2 (zero without a J'=1 partner)."""
+    from .stirap import clebsch_gordan
+
+    return np.array([clebsch_gordan(2, m, 1, 1, 1, m + 1) ** 2 for m in (2, 1, 0, -1, -2)])
 
 
 def lightshift_vector(
@@ -406,21 +360,11 @@ def lightshift_vector(
     delta = rad_per_s(detuning)
     if delta == 0:
         raise ValueError("detuning must be nonzero")
-    from .stirap import clebsch_gordan
-
-    w_l = rad_per_s(omega_light)
-    shifts = np.array(
-        [clebsch_gordan(2, m, 1, 1, 1, m + 1) ** 2 for m in (2, 1, 0, -1, -2)]
-    )
-    return shifts * w_l**2 / (4 * delta)
+    return _sigma_plus_weights() * rad_per_s(omega_light) ** 2 / (4 * delta)
 
 
 def lightshift_from_scale(scale) -> np.ndarray:
     """Light-shift vector normalized so the m=0 shift is -|scale| (red detuned),
     with the m=-1 and m=-2 shifts in the physical CG^2 ratios (1 : 3 : 6)."""
-    from .stirap import clebsch_gordan
-
-    weights = np.array(
-        [clebsch_gordan(2, m, 1, 1, 1, m + 1) ** 2 for m in (2, 1, 0, -1, -2)]
-    )
+    weights = _sigma_plus_weights()
     return -abs(rad_per_s(scale)) * weights / weights[2]

@@ -99,9 +99,7 @@ def test_rabi_fit_at_benchmark_size_builds_basis_once(monkeypatch):
     # the closed forms are sampled once per basis state, not per evaluation
     assert len(calls) <= 5
     assert result.converged
-    # the bounded refinement in ln(omega) stops at about sqrt(eps) |ln omega|,
-    # 2e-7 here, not at its xatol
-    assert result.params["omega"] == pytest.approx(omega, rel=1e-6)
+    assert result.params["omega"] == pytest.approx(omega, rel=1e-8)
     fitted = [result.params[k] for k in ("p_plus2_0", "p_plus1_0", "p_zero_0")]
     np.testing.assert_allclose(fitted, weights[:3], rtol=0, atol=1e-6)
 

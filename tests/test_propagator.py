@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import ladder_cg_table
+from spinorlab import propagator
 from spinorlab.core import build_spin_system, populations, zeeman_state
 from spinorlab.propagator import (
     ClassicalSpin,
@@ -165,9 +166,12 @@ def test_classical_quarter_turn_convention():
     assert spun.magnitude() == pytest.approx(2.0, abs=1e-12)
 
 
-def test_quantum_classical_correspondence():
+@pytest.mark.parametrize(
+    "kind", [HamiltonianKind.LAB_FULL, HamiltonianKind.ROT_FULL, HamiltonianKind.ROT_RWA]
+)
+def test_quantum_classical_correspondence(kind):
     cfg = resonant(242, 160)
-    spec = HamiltonianSpec(HamiltonianKind.LAB_FULL, cfg)
+    spec = HamiltonianSpec(kind, cfg)
     state = zeeman_state(2, 2)
     for t1 in (2e-6, 5e-6, 9e-6):
         psi = evolve_state(state, spec, 0.0, t1, tol=1e-10)
@@ -179,6 +183,26 @@ def test_quantum_classical_correspondence():
         )
         spun = evolve_classical(ClassicalSpin(0, 0, 2), spec, 0.0, t1, tol=1e-10)
         assert np.max(np.abs(j_quantum - spun.vector)) < 1e-6
+
+
+def test_cartesian_generators_turn_schrodinger_into_torque():
+    lx, ly, lz = propagator._CARTESIAN
+    for a, b, c in ((lx, ly, lz), (ly, lz, lx), (lz, lx, ly)):
+        assert np.allclose(a @ b - b @ a, 1j * c, atol=1e-15)
+    assert np.allclose(lx @ lx + ly @ ly + lz @ lz, 2 * np.eye(3), atol=1e-15)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        b, j = rng.normal(size=3), rng.normal(size=3)
+        generator = b[0] * lx + b[1] * ly + b[2] * lz
+        assert np.allclose(-1j * generator @ j, np.cross(b, j), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("rabi", [float("inf"), float("nan")])
+def test_classical_rejects_nonfinite_field(rabi):
+    cfg = FieldConfig(omega0=TWO_PI * 242e3, omega_rf=TWO_PI * 242e3, omega_rabi=rabi)
+    spec = HamiltonianSpec(HamiltonianKind.LAB_FULL, cfg)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="non-finite"):
+        evolve_classical(ClassicalSpin(0, 0, 2), spec, 0.0, 1e-6)
 
 
 def test_classical_rejects_nonlinear_hamiltonians():
