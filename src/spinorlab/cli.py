@@ -14,6 +14,10 @@ deterministic for a given (config, seed, samples).
 Exit codes: 0 success, 1 config error (the message names the offending
 key), 2 numerical failure.
 
+The p0_* keys give the initial populations of the Zeeman basis states, an
+incoherent mixture (|+2> when none is given).  Their sum must be 1 within
+1e-6, and they are divided by it, so the mixture is normalized.
+
 The fit-* scenarios read a previously generated CSV (``data`` key), print
 the fitted parameters to stdout, and write the fitted model curve as CSV.
 """
@@ -30,7 +34,7 @@ import numpy as np
 import yaml
 
 from . import ensemble, fit, stirap
-from .core import TWO_PI, mixture, zeeman_state
+from .core import TWO_PI, Populations
 from .propagator import (
     FieldConfig,
     HamiltonianKind,
@@ -172,21 +176,14 @@ class RunOutput:
 _POP_OPTIONALS = {key: (parse_fraction, None) for key in _POP_KEYS}
 
 
-def _initial_mixture(params: dict) -> np.ndarray:
+def _initial_mixture(params: dict) -> Populations:
     given = [params[k] for k in _POP_KEYS]
     if all(v is None for v in given):
-        return np.array([1.0, 0, 0, 0, 0])
+        return Populations([1.0, 0, 0, 0, 0])
     weights = np.array([0.0 if v is None else v for v in given])
     if abs(weights.sum() - 1.0) > 1e-6:
         raise ConfigError(f"p0_plus2: initial populations must sum to 1, got {weights.sum()}")
-    return weights
-
-
-def _mixture_trace(spec: HamiltonianSpec, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Population trace of an incoherent mixture of Zeeman basis states."""
-    return mixture(
-        weights, lambda m: evolve_populations(zeeman_state(2, m), spec, times, tol=1e-9)
-    )
+    return Populations(weights / weights.sum())  # Populations allows a 1e-10 error in the sum
 
 
 def _run_rabi(params: dict, kind: HamiltonianKind) -> RunOutput:
@@ -202,7 +199,7 @@ def _run_rabi(params: dict, kind: HamiltonianKind) -> RunOutput:
         shifts = lightshift_from_scale(params["shift_scale"])
     spec = HamiltonianSpec(kind=kind, field=cfg, light_shifts=shifts)
     times = np.linspace(0.0, params["duration"], params["points"])
-    pops = _mixture_trace(spec, _initial_mixture(params), times)
+    pops = evolve_populations(_initial_mixture(params), spec, times, tol=1e-9)
     rows = np.column_stack([times * 1e6, pops])
     return RunOutput(["t_us", *P_COLUMNS], rows)
 
@@ -237,7 +234,9 @@ def _run_fstirap_scan(params: dict) -> RunOutput:
     return RunOutput(["eta", *P_COLUMNS, "survival"], np.array(rows))
 
 
-def _ensemble_inputs(params: dict):
+def _run_ensemble(params: dict, column: str, tau1, tau2=None) -> RunOutput:
+    """Ramsey (no tau2) or echo curve of the p0_* mixture and its envelope,
+    against the varied delay in us under ``column``."""
     cfg = FieldConfig(b0=params["b0"], b1=params["b1"])
     spec = ensemble.EnsembleSpec(
         sigma_z0=params["sigma_z0"],
@@ -245,51 +244,29 @@ def _ensemble_inputs(params: dict):
         n_samples=params["samples"],
         seed=params["seed"],
     )
-    weights = _initial_mixture(params)
-    return cfg, spec, weights
-
-
-def _mixture_ensemble_curve(cfg, spec, weights, kind, tau1, tau2, method) -> np.ndarray:
-    return mixture(
-        weights,
-        lambda m: ensemble.ensemble_average_curve(
-            cfg, spec, kind, tau1, tau2, initial=zeeman_state(2, m), method=method
-        ),
-    )
+    if tau2 is None:
+        kind, delay = ensemble.SequenceKind.RAMSEY, tau1
+        env = ensemble.ramsey_envelope(cfg, spec, tau1)
+    else:
+        kind, delay = ensemble.SequenceKind.ECHO, tau2
+        env = ensemble.echo_envelope(cfg, spec, tau1, tau2)
+    initial = _initial_mixture(params)
+    pops = ensemble.ensemble_average_curve(cfg, spec, kind, tau1, tau2, initial, params["method"])
+    return RunOutput([column, *P_COLUMNS, "envelope"], np.column_stack([delay * 1e6, pops, env]))
 
 
 def _run_ramsey(params: dict) -> RunOutput:
-    cfg, spec, weights = _ensemble_inputs(params)
-    tau1 = np.linspace(0.0, params["tau_max"], params["points"])
-    pops = _mixture_ensemble_curve(
-        cfg, spec, weights, ensemble.SequenceKind.RAMSEY, tau1, None, params["method"]
-    )
-    env = ensemble.ramsey_envelope(cfg, spec, tau1)
-    rows = np.column_stack([tau1 * 1e6, pops, env])
-    return RunOutput(["tau1_us", *P_COLUMNS, "envelope"], rows)
+    return _run_ensemble(params, "tau1_us", np.linspace(0.0, params["tau_max"], params["points"]))
 
 
 def _run_echo(params: dict) -> RunOutput:
-    cfg, spec, weights = _ensemble_inputs(params)
     tau2 = np.linspace(0.0, params["tau2_max"], params["points"])
-    tau1 = np.full_like(tau2, params["tau1"])
-    pops = _mixture_ensemble_curve(
-        cfg, spec, weights, ensemble.SequenceKind.ECHO, tau1, tau2, params["method"]
-    )
-    env = ensemble.echo_envelope(cfg, spec, tau1, tau2)
-    rows = np.column_stack([tau2 * 1e6, pops, env])
-    return RunOutput(["tau2_us", *P_COLUMNS, "envelope"], rows)
+    return _run_ensemble(params, "tau2_us", np.full_like(tau2, params["tau1"]), tau2)
 
 
 def _run_echo_scan(params: dict) -> RunOutput:
-    cfg, spec, weights = _ensemble_inputs(params)
     tau = np.linspace(0.0, params["tau_sum_max"] / 2, params["points"])
-    pops = _mixture_ensemble_curve(
-        cfg, spec, weights, ensemble.SequenceKind.ECHO, tau, tau, params["method"]
-    )
-    env = ensemble.echo_envelope(cfg, spec, tau, tau)
-    rows = np.column_stack([tau * 1e6, pops, env])
-    return RunOutput(["tau_tilde_us", *P_COLUMNS, "envelope"], rows)
+    return _run_ensemble(params, "tau_tilde_us", tau, tau)
 
 
 def _load_timeseries(key: str, path: str) -> fit.TimeSeries:
@@ -359,10 +336,9 @@ def _run_fit_ramsey(params: dict) -> RunOutput:
         spec = ensemble.EnsembleSpec(
             sigma_z0=params["sigma_z0"], t_axial=params["t_axial"], n_samples=1
         )
-        weights = np.array([result.params[k] for k in fit._POP_KEYS])
-        curve = _mixture_ensemble_curve(
-            cfg, spec, weights, ensemble.SequenceKind.RAMSEY, data.times, None,
-            ensemble.AverageMethod.ANALYTIC,
+        initial = Populations([result.params[k] for k in fit._POP_KEYS])
+        curve = ensemble.ensemble_average_curve(
+            cfg, spec, ensemble.SequenceKind.RAMSEY, data.times, initial=initial
         )
     rows = np.column_stack([data.times * 1e6, curve])
     return RunOutput(["tau1_us", *P_COLUMNS], rows, _fit_stdout(result, extra))

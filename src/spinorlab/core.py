@@ -212,13 +212,14 @@ class Populations:
         return float(self.p[i])
 
 
-def mixture(weights, curve) -> np.ndarray:
-    """Incoherent mixture of the spin-2 Zeeman basis states: the sum of
-    w * curve(m) over m = +2 ... -2 in that order, skipping w = 0."""
-    terms = [w * curve(m) for w, m in zip(weights, ZEEMAN_M) if w != 0]
-    if not terms:
-        raise ValueError("a mixture needs at least one nonzero weight")
-    return sum(terms[1:], terms[0])
+def mixture_columns(initial: StateVector | Populations) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude columns (dim, n) and weights (n,) of an initial state: one
+    column of weight 1 for a StateVector; for Populations, an incoherent
+    mixture, the basis states of nonzero weight in basis order."""
+    if isinstance(initial, StateVector):
+        return initial.amplitudes[:, None], np.ones(1)
+    used = np.flatnonzero(initial.p)
+    return np.eye(initial.p.size, dtype=complex)[:, used], initial.p[used]
 
 
 def populations(state: StateVector) -> Populations:

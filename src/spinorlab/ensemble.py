@@ -16,13 +16,19 @@ Ensemble averaging.  For an atom starting at z0 with velocity vz in the
 field B0 + B1 z, the Ramsey phase is gamma*B0*tau1 + gamma*B1*(z0 tau1 +
 vz tau1^2 / 2).  Over a Gaussian position spread and a thermal (Gaussian)
 velocity marginal the phase is A + Z with Z zero-mean Gaussian, so
-<e^{i k phi}> = e^{i k A} e^{-k^2 var(Z)/2}.  A spin-2 sequence population
-is a trigonometric polynomial in phi of order <= 4 (four coherence orders),
-so the exact ensemble average needs the harmonics k = 0..4 only; each
-harmonic k damps with exponent k^2 times the k=1 Gaussian/quartic
-exponents.  The Monte Carlo path samples (z0, vz) directly and must agree
-with the analytic path within statistics; it is the cross-check for the
-harmonic generalization.
+<e^{i k phi}> = e^{i k A} e^{-k^2 var(Z)/2}.  A spin-j sequence population
+is a trigonometric polynomial in phi of order 2j (four coherence orders for
+spin 2), so the exact ensemble average needs the harmonics k = 0..2j only;
+each harmonic k damps with exponent k^2 times the k=1 Gaussian/quartic
+exponents.  One closed form gives the harmonics of the amplitude
+L e^{-i phi m} u, with L = Dx_last and u = Dx_first c: basis states a and
+a-k differ by k in m, so p_m(phi) = f_0[m] + sum_k 2 Re(f_k[m] e^{i k phi})
+with f_k[m] = sum_a L[m,a] conj(L[m,a-k]) u_a conj(u_{a-k}).  The Monte
+Carlo path samples (z0, vz) directly and must agree with the analytic path
+within statistics; it is the cross-check for the harmonic generalization.
+Both paths are linear in an initial Populations, an incoherent mixture of
+the Zeeman basis states, so one set of harmonics, or of Monte Carlo draws,
+serves all the basis states of a mixture.
 """
 
 from __future__ import annotations
@@ -35,13 +41,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import CONSTANTS, Populations, StateVector, build_spin_system
+from .core import (
+    CONSTANTS,
+    Populations,
+    StateVector,
+    build_spin_system,
+    mixture_columns,
+    zeeman_state,
+)
 from .propagator import FieldConfig
 from .rotations import Angle, RotationAxis, rotation_operator
 
-_N_HARMONICS = 4
 _MC_BATCH = 16384
-_HARMONICS_CACHE_SIZE = 64
 
 
 class SequenceKind(Enum):
@@ -56,6 +67,9 @@ class SequenceTiming:
     tau2: float = 0.0
 
     def __post_init__(self):
+        for name in ("tau1", "tau2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.tau1 < 0 or self.tau2 < 0:
             raise ValueError("tau1 and tau2 must be >= 0")
 
@@ -74,12 +88,10 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.sigma_z0 > 0:
-            raise ValueError("sigma_z0 must be positive")
-        if not self.t_axial > 0:
-            raise ValueError("t_axial must be positive")
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
+        for name in ("sigma_z0", "t_axial", "mass"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
 
@@ -138,41 +150,30 @@ def _dx_pair(two_j: int, kind: SequenceKind):
 
 def single_atom_sequence(initial: StateVector, kind: SequenceKind, phi) -> Populations:
     """Populations after the ideal pulse sequence with net z phase phi."""
-    dx_first, dx_last, m = _dx_pair(initial.dim - 1, kind)
-    v = dx_first @ initial.amplitudes
-    amp = dx_last @ (np.exp(-1j * float(phi) * m) * v)
-    return Populations(np.abs(amp) ** 2 / np.sum(np.abs(amp) ** 2))
+    p = _population_sums(initial.amplitudes[:, None], kind, np.array([float(phi)]))[:, 0]
+    return Populations(p / p.sum())
 
 
-def _population_batch(initial: StateVector, kind: SequenceKind, phis: np.ndarray) -> np.ndarray:
-    """Populations for a batch of phases, shape (len(phis), dim)."""
-    dx_first, dx_last, m = _dx_pair(initial.dim - 1, kind)
-    v = dx_first @ initial.amplitudes
+def _population_sums(columns: np.ndarray, kind: SequenceKind, phis: np.ndarray) -> np.ndarray:
+    """Populations summed over a batch of phases for each amplitude column,
+    shape (dim, column).  The phase factors are built once for all columns;
+    the columns are evaluated one at a time, so memory stays one batch."""
+    dx_first, dx_last, m = _dx_pair(columns.shape[0] - 1, kind)
     phases = np.exp(-1j * np.multiply.outer(phis, m))  # (n, dim)
-    amp = phases * v[None, :] @ dx_last.T
-    return np.abs(amp) ** 2
+    sums = np.empty(columns.shape)
+    for c in range(columns.shape[1]):
+        amp = phases * (dx_first @ columns[:, c])[None, :] @ dx_last.T
+        sums[:, c] = (np.abs(amp) ** 2).sum(axis=0)
+    return sums
 
 
-def _phase_harmonics(initial: StateVector, kind: SequenceKind) -> np.ndarray:
-    """Fourier coefficients f_k, k = 0..4, of p_m(phi); shape (5, dim).
-
-    p_m(phi) = f_0[m] + sum_k 2 Re(f_k[m] e^{i k phi}).  Sixteen uniform
-    samples are exact for a trigonometric polynomial of order four.  The
-    result is read-only: it is shared through a cache that holds the
-    _HARMONICS_CACHE_SIZE most recently used (kind, amplitudes) pairs.
-    """
-    return _cached_phase_harmonics(kind, initial.amplitudes.tobytes())
-
-
-@lru_cache(maxsize=_HARMONICS_CACHE_SIZE)
-def _cached_phase_harmonics(kind: SequenceKind, amplitudes: bytes) -> np.ndarray:
-    n = 16
-    phis = 2 * math.pi * np.arange(n) / n
-    initial = StateVector(np.frombuffer(amplitudes, dtype=complex))
-    p = _population_batch(initial, kind, phis)  # (16, dim)
-    coeffs = np.fft.fft(p, axis=0)[: _N_HARMONICS + 1] / n
-    coeffs.flags.writeable = False
-    return coeffs
+def _phase_harmonics(first: np.ndarray, last: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Harmonics f_k, k = 0..dim-1, of the populations of
+    last @ (e^{-i phi m} first @ c) for each column c, shape (harmonic, dim,
+    column); the closed form is in the module docstring."""
+    x = last[:, :, None] * (first @ columns)[None, :, :]  # (m, a, column)
+    n = x.shape[1]
+    return np.stack([np.einsum("mac,mac->mc", x[:, k:], x[:, : n - k].conj()) for k in range(n)])
 
 
 def ramsey_envelope(field: FieldConfig, spec: EnsembleSpec, tau1) -> np.ndarray | float:
@@ -239,33 +240,24 @@ def _harmonic_sum(a, var, coeffs: np.ndarray) -> np.ndarray:
     a = np.atleast_1d(a)
     var = np.atleast_1d(var)
     out = np.broadcast_to(coeffs[0].real, (a.size, coeffs.shape[1])).copy()
-    for k in range(1, _N_HARMONICS + 1):
+    for k in range(1, coeffs.shape[0]):
         damp = np.exp(-0.5 * k * k * var)
         out += 2 * damp[:, None] * (coeffs[k][None, :] * np.exp(1j * k * a)[:, None]).real
     return out
 
 
-def _analytic_curve(
+def _mc_average(
     field: FieldConfig,
     spec: EnsembleSpec,
-    kind: SequenceKind,
-    tau1,
-    tau2,
-    initial: StateVector,
-) -> np.ndarray:
-    """Analytic ensemble average over arrays of timings, shape (n, dim)."""
-    a, var = _carrier_and_variance(field, spec, kind, tau1, tau2)
-    return _harmonic_sum(a, var, _phase_harmonics(initial, kind))
-
-
-def _mc_average(
-    field: FieldConfig, spec: EnsembleSpec, timing: SequenceTiming, initial: StateVector
+    timing: SequenceTiming,
+    initial: StateVector | Populations,
 ) -> np.ndarray:
     """Monte Carlo ensemble average.
 
     Samples are partitioned into fixed-size batches; batch i draws from the
     i-th child of SeedSequence(seed) and the batch sums are added in batch
     order, so the result is bit-identical for a given (seed, n_samples).
+    Every amplitude column of ``initial`` is evaluated on the same draws.
     """
     if spec.n_samples < 100:
         warnings.warn(
@@ -275,30 +267,34 @@ def _mc_average(
         )
     n_batches = math.ceil(spec.n_samples / _MC_BATCH)
     children = np.random.SeedSequence(spec.seed).spawn(n_batches)
-    total = np.zeros(initial.dim)
+    columns, weights = mixture_columns(initial)
+    total = np.zeros(columns.shape)
     for i, child in enumerate(children):
         size = min(_MC_BATCH, spec.n_samples - i * _MC_BATCH)
         rng = np.random.default_rng(child)
         z0 = rng.normal(0.0, spec.sigma_z0, size)
         vz = rng.normal(0.0, spec.sigma_vz, size)
         phi = _phase(field, timing.kind, z0, vz, timing.tau1, timing.tau2)
-        total += _population_batch(initial, timing.kind, phi).sum(axis=0)
-    return total / spec.n_samples
+        total += _population_sums(columns, timing.kind, phi)
+    return total / spec.n_samples @ weights
 
 
 def ensemble_average(
     field: FieldConfig,
     spec: EnsembleSpec,
     timing: SequenceTiming,
-    initial: StateVector,
+    initial: StateVector | Populations,
     method: AverageMethod = AverageMethod.ANALYTIC,
 ) -> Populations:
-    """Ensemble-averaged populations after the sequence at one timing."""
-    if method is AverageMethod.ANALYTIC:
-        return Populations(
-            _analytic_curve(field, spec, timing.kind, timing.tau1, timing.tau2, initial)[0]
-        )
-    return Populations(_mc_average(field, spec, timing, initial))
+    """Ensemble-averaged populations after the sequence at one timing.
+
+    ``initial`` is a pure state, or Populations: an incoherent mixture of the
+    Zeeman basis states, averaged in one run for all its basis states.
+    """
+    curve = ensemble_average_curve(
+        field, spec, timing.kind, timing.tau1, timing.tau2, initial, method
+    )
+    return Populations(curve[0])
 
 
 def ensemble_average_curve(
@@ -307,26 +303,32 @@ def ensemble_average_curve(
     kind: SequenceKind,
     tau1,
     tau2=None,
-    initial: StateVector | None = None,
+    initial: StateVector | Populations | None = None,
     method: AverageMethod = AverageMethod.ANALYTIC,
 ) -> np.ndarray:
     """Averaged populations over arrays of timings, shape (n, dim).
 
     For Ramsey pass tau1 only; for echo pass matching tau1/tau2 arrays (or a
-    scalar tau1 with an array tau2).
+    scalar tau1 with an array tau2).  ``initial`` defaults to |+2>; a
+    Populations is an incoherent mixture of the Zeeman basis states, run
+    once for all its basis states (one set of harmonics, or one set of
+    Monte Carlo draws per timing).
     """
-    from .core import zeeman_state
-
     if initial is None:
         initial = zeeman_state(2, 2)
     t1 = np.atleast_1d(np.asarray(tau1, dtype=float))
     if kind is SequenceKind.ECHO:
+        if tau2 is None:
+            raise ValueError("tau2: the echo sequence needs tau2")
         t2 = np.atleast_1d(np.asarray(tau2, dtype=float))
         t1, t2 = np.broadcast_arrays(t1, t2)
     else:
         t2 = np.zeros_like(t1)
     if method is AverageMethod.ANALYTIC:
-        return _analytic_curve(field, spec, kind, t1, t2, initial)
+        columns, weights = mixture_columns(initial)
+        dx_first, dx_last, _ = _dx_pair(columns.shape[0] - 1, kind)
+        a, var = _carrier_and_variance(field, spec, kind, t1, t2)
+        return _harmonic_sum(a, var, _phase_harmonics(dx_first, dx_last, columns) @ weights)
     rows = [
         _mc_average(field, spec, SequenceTiming(kind, a, b), initial)
         for a, b in zip(t1, t2)

@@ -29,12 +29,15 @@ by theta = Omega t / 2, and each basis curve p_m(m0, theta) = |d^2_{m m0}
 that is even in theta, that is, an even trigonometric polynomial of order
 four.  So it equals sum_{k=0..4} C_k cos(k theta) exactly, and the 25
 curves are cos(outer(theta, k)) @ C with a fixed (5, 25) matrix C of dyadic
-rationals (35/128, 7/16, ...).  C is taken once from a 16-point FFT of the
-closed forms in ``rotations`` and cached; ``rabi_model_curve`` still
-evaluates the closed forms.  Per trial Omega the basis costs n x 5 cosines
-and one (n, 5) by (5, 25) product, about 20 times less than the closed
-forms' powers at n = 1000, and no longer the larger part of a profile
-evaluation.  The two agree within 1e-12 for theta up to 8000 rad.
+rationals (35/128, 7/16, ...).  A rotation about x is Dz(theta) between the
+eigenbases of Jx, Dx(theta) = V Dz(theta) V^dagger with the eigenvalues
+ordered +2 ... -2, so C comes once from the phase-harmonic formula of
+``ensemble`` with first = V^dagger and last = V, and is cached;
+``rabi_model_curve`` still evaluates the closed forms.  Per trial Omega the
+basis costs n x 5 cosines and one (n, 5) by (5, 25) product, about 20 times
+less than the closed forms' powers at n = 1000, and no longer the larger
+part of a profile evaluation.  The two agree within 1e-12 for theta up to
+8000 rad.
 
 Grid bounds are set by a dimensionless scale of the sampled trace:
 
@@ -68,11 +71,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize_scalar, nnls
 
-from .core import CONSTANTS, ZEEMAN_M, mixture, zeeman_state
+from .core import CONSTANTS, ZEEMAN_M, build_spin_system
 from .ensemble import (
     EnsembleSpec,
     SequenceKind,
     _carrier_and_variance,
+    _dx_pair,
     _harmonic_sum,
     _phase_harmonics,
 )
@@ -241,7 +245,8 @@ def _require_enough_points(data: TimeSeries, minimum: int = 2) -> None:
 def rabi_model_curve(times: np.ndarray, omega: float, weights: np.ndarray) -> np.ndarray:
     """Incoherent mixture of the closed-form rotation curves."""
     theta = 0.5 * omega * np.asarray(times, dtype=float)
-    return mixture(weights, lambda m: rotation_population_curve(m, theta))
+    terms = (w * rotation_population_curve(m, theta) for w, m in zip(weights, ZEEMAN_M) if w)
+    return sum(terms, np.zeros(theta.shape + (len(ZEEMAN_M),)))
 
 
 def fit_rabi(data: TimeSeries, initial_guess: dict | None = None) -> FitResult:
@@ -275,15 +280,16 @@ def _rabi_cosine_coefficients() -> np.ndarray:
     of the five basis initial states, shape (harmonic, channel * initial
     state): p(theta) = sum_k C_k cos(k theta).
 
-    Sixteen uniform samples are exact for a trigonometric polynomial of
-    order four; the curves are even in theta, so C_k = f_0 at k = 0 and
-    2 Re f_k above.
+    Dx(theta) = V Dz(theta) V^dagger with V the eigenvectors of Jx, ordered
+    by eigenvalue +2 ... -2, so the curves are the phase harmonics of
+    first = V^dagger and last = V; they are even in theta, so C_k = f_0 at
+    k = 0 and 2 Re f_k above.
     """
-    n = 16
-    theta = 2 * math.pi * np.arange(n) / n
-    curves = np.stack([rotation_population_curve(m, theta) for m in ZEEMAN_M], axis=-1)
-    f = np.fft.rfft(curves.reshape(n, -1), axis=0)[:5].real / n
+    _, v = np.linalg.eigh(build_spin_system(2).jx)
+    v = v[:, ::-1]  # eigenvalues +2 ... -2, the order of m in Dz
+    f = _phase_harmonics(v.conj().T, v, np.eye(len(ZEEMAN_M))).real
     f[1:] *= 2
+    f = f.reshape(f.shape[0], -1)
     f.flags.writeable = False  # shared by every caller through the cache
     return f
 
@@ -292,7 +298,8 @@ def _rabi_cosine_coefficients() -> np.ndarray:
 def _basis_coefficients(kind: SequenceKind) -> np.ndarray:
     """Phase-harmonic coefficients of the five Zeeman basis initial states,
     shape (harmonic, channel * initial state)."""
-    coeffs = np.stack([_phase_harmonics(zeeman_state(2, m), kind) for m in ZEEMAN_M], axis=-1)
+    dx_first, dx_last, _ = _dx_pair(len(ZEEMAN_M) - 1, kind)
+    coeffs = _phase_harmonics(dx_first, dx_last, np.eye(len(ZEEMAN_M)))
     coeffs = coeffs.reshape(coeffs.shape[0], -1)
     coeffs.flags.writeable = False  # shared by every caller through the cache
     return coeffs

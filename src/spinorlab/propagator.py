@@ -38,7 +38,15 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CONSTANTS, PhysicalConstants, StateVector, build_spin_system, rad_per_s
+from .core import (
+    CONSTANTS,
+    PhysicalConstants,
+    Populations,
+    StateVector,
+    build_spin_system,
+    mixture_columns,
+    rad_per_s,
+)
 
 
 class NumericalError(RuntimeError):
@@ -65,11 +73,12 @@ class FieldConfig:
     constants: PhysicalConstants = field(default=CONSTANTS, repr=False)
 
     def __post_init__(self):
+        for name in ("b0", "b1", "omega_rf", "omega_rabi", "b_rf", "omega0"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.b0 < 0:
             raise ValueError("b0 must be >= 0")
-        for name in ("b0", "b1", "omega_rf"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if self.omega_rabi is not None and self.b_rf is not None:
             implied = self.constants.gamma * self.b_rf
             if not math.isclose(self.omega_rabi, implied, rel_tol=1e-9, abs_tol=1e-6):
@@ -180,9 +189,10 @@ _COMM_COEF = math.sqrt(3) / 12
 
 
 def _propagate(h_of_t, psi0: np.ndarray, times: np.ndarray, h_max: float) -> np.ndarray:
-    """Unitary trace of psi at the sample times; fixed steps of at most h_max."""
+    """Unitary trace of the (dim, columns) block psi0 at the sample times,
+    shape (times.size, dim, columns); fixed steps of at most h_max."""
     psi = psi0.copy()
-    out = np.empty((times.size, psi.size), complex)
+    out = np.empty((times.size, *psi.shape), complex)
     out[0] = psi
     for i in range(times.size - 1):
         ta, tb = times[i], times[i + 1]
@@ -194,7 +204,7 @@ def _propagate(h_of_t, psi0: np.ndarray, times: np.ndarray, h_max: float) -> np.
             a2 = h_of_t(t + _GAUSS_HI * h)
             k = (h / 2) * (a1 + a2) - 1j * (_COMM_COEF * h * h) * (a2 @ a1 - a1 @ a2)
             w, v = np.linalg.eigh(k)
-            psi = v @ (np.exp(-1j * w) * (v.conj().T @ psi))
+            psi = v @ (np.exp(-1j * w)[:, None] * (v.conj().T @ psi))
             t += h
         out[i + 1] = psi
     return out
@@ -227,9 +237,9 @@ def _converge(run, h: float, tol: float, observe):
 
 
 def _evolve(spec: HamiltonianSpec, ops, psi0: np.ndarray, times, tol: float, observe):
-    """Trace of psi0 under the spec's Hamiltonian written in the operator
-    triple ``ops``, at the given times, shape (times.size, psi0.size); the
-    step is halved until observe(trace) moves by less than ``tol``."""
+    """Trace of the (dim, columns) block psi0 under the spec's Hamiltonian in
+    the operator triple ``ops``, shape (times.size, dim, columns); the step is
+    halved until observe(trace) moves by less than ``tol`` everywhere."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     times = np.asarray(times, dtype=float)
@@ -240,32 +250,36 @@ def _evolve(spec: HamiltonianSpec, ops, psi0: np.ndarray, times, tol: float, obs
         raise NumericalError("Hamiltonian has non-finite entries")
     h = _base_step(scales)
     if h is None:  # H is identically zero: nothing evolves
-        return np.tile(psi0, (times.size, 1))
+        return np.broadcast_to(psi0, (times.size, *psi0.shape)).copy()
     return _converge(lambda h: _propagate(h_of_t, psi0, times, h), h, tol, observe)
 
 
-def _evolve_spin(state: StateVector, spec: HamiltonianSpec, times, tol: float) -> np.ndarray:
-    """Quantum trace of ``state``, converged on populations; every sample
-    must keep unit norm to 1e-9."""
-    sys = build_spin_system((state.dim - 1) / 2)
-    trace = _evolve(spec, (sys.jx, sys.jy, sys.jz), state.amplitudes, times, tol, _populations)
+def _evolve_spin(columns: np.ndarray, spec: HamiltonianSpec, times, tol: float) -> np.ndarray:
+    """Quantum trace of the amplitude columns, converged on populations;
+    every sample must keep unit norm to 1e-9."""
+    sys = build_spin_system((columns.shape[0] - 1) / 2)
+    trace = _evolve(spec, (sys.jx, sys.jy, sys.jz), columns, times, tol, _populations)
     if np.max(np.abs(_populations(trace).sum(axis=1) - 1)) > 1e-9:
         raise NumericalError("norm drifted beyond 1e-9")
     return trace
 
 
 def evolve_populations(
-    state: StateVector,
+    state: StateVector | Populations,
     spec: HamiltonianSpec,
     times,
     tol: float = 1e-8,
 ) -> np.ndarray:
     """Population trace p(t) at the given times, converged by step halving.
 
-    The step is halved until the whole trace moves by less than ``tol``;
-    running out of refinements raises NumericalError (step-size underflow).
+    ``state`` is a pure state, or Populations: an incoherent mixture of the
+    Zeeman basis states, whose basis states of nonzero weight are stepped
+    together in one run.  The step is halved until the whole trace of every
+    state moves by less than ``tol``; running out of refinements raises
+    NumericalError (step-size underflow).
     """
-    return _populations(_evolve_spin(state, spec, times, tol))
+    columns, weights = mixture_columns(state)
+    return _populations(_evolve_spin(columns, spec, times, tol)) @ weights
 
 
 def evolve_state(
@@ -278,7 +292,7 @@ def evolve_state(
     """Evolve a state from t0 to t1; converged by step halving on populations."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    return StateVector(_evolve_spin(state, spec, [t0, t1], tol)[-1])
+    return StateVector(_evolve_spin(state.amplitudes[:, None], spec, [t0, t1], tol)[-1, :, 0])
 
 
 def rotating_frame_state(state: StateVector, omega_rf, t: float) -> StateVector:
@@ -330,8 +344,8 @@ def evolve_classical(
         raise ValueError("t1 must be >= t0")
     if spec.kind is HamiltonianKind.LAB_LIGHT_SHIFT:
         raise ValueError("classical torque evolution is only defined for linear-in-J Hamiltonians")
-    trace = _evolve(spec, _CARTESIAN, spin.vector, [t0, t1], tol, np.real)
-    return ClassicalSpin(*trace[-1].real)
+    trace = _evolve(spec, _CARTESIAN, spin.vector[:, None], [t0, t1], tol, np.real)
+    return ClassicalSpin(*trace[-1, :, 0].real)
 
 
 def _sigma_plus_weights() -> np.ndarray:

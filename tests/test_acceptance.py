@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from spinorlab.core import CONSTANTS, build_spin_system, mixture, zeeman_state
+from spinorlab.core import CONSTANTS, ZEEMAN_M, Populations, build_spin_system, zeeman_state
 from spinorlab.ensemble import (
     AverageMethod,
     EnsembleSpec,
@@ -67,13 +67,11 @@ def check(num: int, description: str, ok: bool, detail: str = ""):
 
 
 def mixture_trace(spec, weights, times, tol=1e-9):
-    return mixture(
-        weights, lambda m: evolve_populations(zeeman_state(2, m), spec, times, tol=tol)
-    )
+    return evolve_populations(Populations(weights), spec, times, tol=tol)
 
 
 def mixture_closed(weights, thetas):
-    return mixture(weights, lambda m: rotation_population_curve(m, thetas))
+    return np.stack([rotation_population_curve(m, thetas) for m in ZEEMAN_M], axis=-1) @ weights
 
 
 def test_criterion_1_closed_forms_match_rotations():

@@ -12,7 +12,7 @@ from spinorlab.core import (
     Populations,
     StateVector,
     build_spin_system,
-    mixture,
+    mixture_columns,
     populations,
     zeeman_state,
 )
@@ -142,14 +142,12 @@ def test_spin_matrices_are_immutable():
         state.amplitudes[0] = 0.0
 
 
-def test_mixture_sums_nonzero_weights_in_basis_order():
-    called = []
-
-    def curve(m):
-        called.append(m)
-        return np.full(2, float(m))
-
-    assert np.array_equal(mixture([0.5, 0, 0.25, 0, 0.25], curve), [0.5, 0.5])
-    assert called == [2, 0, -2]
-    with pytest.raises(ValueError):
-        mixture([0, 0, 0, 0, 0], curve)
+def test_mixture_columns():
+    state = StateVector.normalized([1, 1j, 0, 0, 1])
+    columns, weights = mixture_columns(state)
+    assert columns.shape == (5, 1)
+    np.testing.assert_array_equal(columns[:, 0], state.amplitudes)
+    np.testing.assert_array_equal(weights, [1.0])
+    columns, weights = mixture_columns(Populations([0.5, 0, 0.25, 0, 0.25]))
+    np.testing.assert_array_equal(columns, np.eye(5)[:, [0, 2, 4]])
+    np.testing.assert_array_equal(weights, [0.5, 0.25, 0.25])

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinorlab import ensemble
-from spinorlab.core import CONSTANTS, StateVector, build_spin_system, zeeman_state
+from spinorlab.core import (
+    CONSTANTS,
+    ZEEMAN_M,
+    Populations,
+    StateVector,
+    build_spin_system,
+    zeeman_state,
+)
 from spinorlab.ensemble import (
     AverageMethod,
     EnsembleSpec,
@@ -162,8 +169,19 @@ def test_echo_rephases_static_dephasing_completely():
 def test_sequence_timing_validation():
     with pytest.raises(ValueError):
         SequenceTiming(SequenceKind.RAMSEY, -1e-6)
+    for kind in SequenceKind:
+        with pytest.raises(ValueError, match="^tau1 must be finite"):
+            SequenceTiming(kind, math.nan)
+        with pytest.raises(ValueError, match="^tau2 must be finite"):
+            SequenceTiming(kind, 1e-6, math.inf)
+    with pytest.raises(ValueError, match="^tau2"):
+        ensemble_average_curve(ECHO_FIELD, THERMAL, SequenceKind.ECHO, 25e-6)
     with pytest.raises(ValueError):
         EnsembleSpec(sigma_z0=0.0, t_axial=1e-3)
+    for name in ("sigma_z0", "t_axial", "mass"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                EnsembleSpec(**{"sigma_z0": 1e-3, "t_axial": 1e-3, name: bad})
     with pytest.raises(ValueError):
         EnsembleSpec(sigma_z0=1e-3, t_axial=1e-3, n_samples=0)
 
@@ -271,18 +289,65 @@ def test_curve_shapes_and_mixture():
     assert echo_curve.shape == (11, 5)
 
 
-def test_harmonics_cache_stays_bounded_and_results_unchanged():
-    tau = np.linspace(0, 50e-6, 7)
-    first = ensemble_average_curve(RAMSEY_FIELD, THERMAL, SequenceKind.RAMSEY, tau)
-    limit = ensemble._cached_phase_harmonics.cache_info().maxsize
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_phase_harmonics_match_fft_of_the_sequence(kind):
     rng = np.random.default_rng(5)
-    for _ in range(3 * limit):
+    n = 16
+    phis = 2 * math.pi * np.arange(n) / n
+    dx_first, dx_last, _ = ensemble._dx_pair(4, kind)
+    for _ in range(20):
         state = StateVector.normalized(rng.normal(size=5) + 1j * rng.normal(size=5))
-        curve = ensemble_average_curve(
-            RAMSEY_FIELD, THERMAL, SequenceKind.RAMSEY, tau, initial=state
+        curve = np.array([single_atom_sequence(state, kind, phi).p for phi in phis])
+        expected = np.fft.fft(curve, axis=0)[:5] / n
+        got = ensemble._phase_harmonics(dx_first, dx_last, state.amplitudes[:, None])[:, :, 0]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+
+def per_state_sum(weights, curve_of):
+    return sum(w * curve_of(zeeman_state(2, m)) for w, m in zip(weights, ZEEMAN_M) if w)
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_analytic_mixture_equals_per_state_sum(kind):
+    weights = np.array([0.6, 0.0, 0.25, 0.0, 0.15])
+    tau = np.linspace(0, 80e-6, 9)
+    tau2 = tau if kind is SequenceKind.ECHO else None
+
+    def curve(initial):
+        return ensemble_average_curve(ECHO_FIELD, THERMAL, kind, tau, tau2, initial)
+
+    mixed = curve(Populations(weights))
+    np.testing.assert_allclose(mixed, per_state_sum(weights, curve), rtol=0, atol=1e-14)
+    timing = SequenceTiming(kind, 30e-6, 40e-6)
+
+    def single(initial):
+        return ensemble_average(ECHO_FIELD, THERMAL, timing, initial).p
+
+    np.testing.assert_allclose(
+        single(Populations(weights)), per_state_sum(weights, single), rtol=0, atol=1e-14
+    )
+
+
+def test_monte_carlo_mixture_draws_each_batch_once(monkeypatch):
+    n_samples = 2 * ensemble._MC_BATCH + 100  # three batches
+    spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=n_samples, seed=3)
+    tau = np.linspace(0, 60e-6, 4)
+    weights = np.array([0.7, 0.0, 0.0, 0.3, 0.0])
+
+    def curve(initial):
+        return ensemble_average_curve(
+            RAMSEY_FIELD, spec, SequenceKind.RAMSEY, tau, None, initial, AverageMethod.MONTE_CARLO
         )
-        assert np.allclose(curve.sum(axis=1), 1.0, atol=1e-12)
-        assert ensemble._cached_phase_harmonics.cache_info().currsize <= limit
-    # |+2> was evicted and is computed again with the same bits
-    again = ensemble_average_curve(RAMSEY_FIELD, THERMAL, SequenceKind.RAMSEY, tau)
-    np.testing.assert_array_equal(again, first)
+
+    per_state = per_state_sum(weights, curve)
+    calls = []
+    phase = ensemble._phase
+
+    def counting(*args):
+        calls.append(args[1])
+        return phase(*args)
+
+    monkeypatch.setattr(ensemble, "_phase", counting)
+    mixed = curve(Populations(weights))
+    assert len(calls) == 3 * tau.size  # each batch drawn once per timing for both states
+    np.testing.assert_allclose(mixed, per_state, rtol=0, atol=1e-15)

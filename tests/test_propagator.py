@@ -6,7 +6,7 @@ import pytest
 
 from oracles import ladder_cg_table
 from spinorlab import propagator
-from spinorlab.core import build_spin_system, populations, zeeman_state
+from spinorlab.core import ZEEMAN_M, Populations, build_spin_system, populations, zeeman_state
 from spinorlab.propagator import (
     ClassicalSpin,
     FieldConfig,
@@ -39,6 +39,10 @@ def test_field_config_validation():
     gamma = FieldConfig().constants.gamma
     with pytest.raises(ValueError):
         FieldConfig(b0=-1e-4)
+    for name in ("b0", "b1", "omega_rf", "omega_rabi", "b_rf", "omega0"):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                FieldConfig(**{name: bad})
     with pytest.raises(ValueError):
         FieldConfig(omega_rabi=1.0, b_rf=1.0)  # wildly inconsistent pair
     cfg = FieldConfig(b_rf=2e-7)
@@ -48,6 +52,33 @@ def test_field_config_validation():
     # b0 and omega0 are independent inputs; both may be supplied as-is
     cfg = FieldConfig(b0=0.38e-4, omega0=TWO_PI * 800e3)
     assert cfg.resonance == TWO_PI * 800e3
+
+
+@pytest.mark.parametrize("kind", list(HamiltonianKind))
+def test_mixture_runs_once_and_equals_weighted_per_state_runs(kind, monkeypatch):
+    shifts = None
+    if kind is HamiltonianKind.LAB_LIGHT_SHIFT:
+        shifts = lightshift_from_scale(TWO_PI * 1e6)
+    spec = HamiltonianSpec(kind, resonant(400, 95), light_shifts=shifts)
+    times = np.linspace(0.0, 3e-6, 13)
+    weights = np.array([0.5, 0.3, 0.0, 0.2, 0.0])
+    tol = 1e-9
+    per_state = sum(
+        w * evolve_populations(zeeman_state(2, m), spec, times, tol)
+        for w, m in zip(weights, ZEEMAN_M)
+        if w
+    )
+    blocks = []
+    evolve = propagator._evolve
+
+    def counting(spec, ops, psi0, *args):
+        blocks.append(psi0.shape)
+        return evolve(spec, ops, psi0, *args)
+
+    monkeypatch.setattr(propagator, "_evolve", counting)
+    mixed = evolve_populations(Populations(weights), spec, times, tol)
+    assert blocks == [(5, 3)]  # one run for the three basis states of nonzero weight
+    assert np.max(np.abs(mixed - per_state)) < tol
 
 
 def test_spec_validation():
@@ -199,10 +230,15 @@ def test_cartesian_generators_turn_schrodinger_into_torque():
 
 @pytest.mark.parametrize("rabi", [float("inf"), float("nan")])
 def test_classical_rejects_nonfinite_field(rabi):
-    cfg = FieldConfig(omega0=TWO_PI * 242e3, omega_rf=TWO_PI * 242e3, omega_rabi=rabi)
-    spec = HamiltonianSpec(HamiltonianKind.LAB_FULL, cfg)
-    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="non-finite"):
-        evolve_classical(ClassicalSpin(0, 0, 2), spec, 0.0, 1e-6)
+    # a non-finite field value is rejected where it is given ...
+    with pytest.raises(ValueError, match="^omega_rabi must be finite"):
+        FieldConfig(omega0=TWO_PI * 242e3, omega_rf=TWO_PI * 242e3, omega_rabi=rabi)
+    # ... and a Hamiltonian that overflows from finite values when it is built
+    cfg = FieldConfig(omega0=1e308, omega_rf=-1e308, omega_rabi=1.0)
+    spec = HamiltonianSpec(HamiltonianKind.ROT_FULL, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="non-finite"):
+            evolve_classical(ClassicalSpin(0, 0, 2), spec, 0.0, 1e-6)
 
 
 def test_classical_rejects_nonlinear_hamiltonians():
