@@ -9,15 +9,12 @@ measured population traces.
 """
 
 from .core import (
-    AngularFrequency,
     CONSTANTS,
     PhysicalConstants,
     Populations,
     SpinSystem,
     StateVector,
     build_spin_system,
-    kilohertz,
-    megahertz,
     populations,
     zeeman_state,
 )

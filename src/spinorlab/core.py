@@ -1,10 +1,8 @@
-"""Spin systems, state vectors, and unit-carrying scalar types.
+"""Spin systems, state vectors, populations and physical constants.
 
-Everything downstream works in SI units internally (rad/s, tesla, meter,
-second, kelvin, kilogram).  Frequencies are built with kilohertz and
-megahertz (ordinary frequencies in, rad/s out), which keep stray factors of
-2*pi out of the physics code; the CLI converts its unit-suffixed config
-values to SI when it parses them.
+Every quantity is a plain float in SI units (rad/s, tesla, meter, second,
+kelvin, kilogram); the CLI converts its unit-suffixed config values to SI
+when it parses them.
 
 The Zeeman basis is ordered m = +J ... -J throughout the package.
 """
@@ -22,54 +20,6 @@ ZEEMAN_M = (2, 1, 0, -1, -2)  # spin-2 projections in basis order
 
 _ATOMIC_MASS_KG = 1.66053906660e-27
 _NE20_MASS_U = 19.9924401762
-
-
-@dataclass(frozen=True)
-class AngularFrequency:
-    """Angular frequency in rad/s.
-
-    The named constructors take ordinary frequencies, so
-    ``AngularFrequency.kilohertz(800)`` is the quantity usually quoted as
-    2*pi x 800 kHz.
-    """
-
-    rad_per_s: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.rad_per_s):
-            raise ValueError("angular frequency must be finite")
-
-    @classmethod
-    def hertz(cls, f: float) -> "AngularFrequency":
-        return cls(TWO_PI * f)
-
-    @classmethod
-    def kilohertz(cls, f: float) -> "AngularFrequency":
-        return cls(TWO_PI * (f * 1e3))
-
-    @classmethod
-    def megahertz(cls, f: float) -> "AngularFrequency":
-        return cls(TWO_PI * (f * 1e6))
-
-    @property
-    def hz(self) -> float:
-        return self.rad_per_s / TWO_PI
-
-    def __float__(self) -> float:
-        return float(self.rad_per_s)
-
-
-def kilohertz(f: float) -> AngularFrequency:
-    return AngularFrequency.kilohertz(f)
-
-
-def megahertz(f: float) -> AngularFrequency:
-    return AngularFrequency.megahertz(f)
-
-
-def rad_per_s(value) -> float:
-    """Coerce an AngularFrequency or a plain rad/s float to float."""
-    return float(value)
 
 
 @dataclass(frozen=True)

@@ -13,22 +13,30 @@ about x conjugates Dz(a) into Dz(-a), which flips the sign of the phase
 accumulated before it.
 
 Ensemble averaging.  For an atom starting at z0 with velocity vz in the
-field B0 + B1 z, the Ramsey phase is gamma*B0*tau1 + gamma*B1*(z0 tau1 +
-vz tau1^2 / 2).  Over a Gaussian position spread and a thermal (Gaussian)
-velocity marginal the phase is A + Z with Z zero-mean Gaussian, so
-<e^{i k phi}> = e^{i k A} e^{-k^2 var(Z)/2}.  A spin-j sequence population
+field B0 + B1 z, the phase of either sequence is linear in (z0, vz):
+
+    phi = a + g_z z0 + g_v vz,
+
+and ``_phase_terms`` is the one place the coefficients (a, g_z, g_v) are
+written; the single-atom phases, the analytic mean and variance, and the
+envelopes all read them.  Over a Gaussian position spread and a thermal
+(Gaussian) velocity marginal the phase is a + Z with Z zero-mean Gaussian of
+variance (g_z sigma_z0)^2 + (g_v sigma_vz)^2, so <e^{i k phi}> =
+e^{i k a} e^{-k^2 var(Z)/2}.  A spin-j sequence population
 is a trigonometric polynomial in phi of order 2j (four coherence orders for
 spin 2), so the exact ensemble average needs the harmonics k = 0..2j only;
-each harmonic k damps with exponent k^2 times the k=1 Gaussian/quartic
-exponents.  One closed form gives the harmonics of the amplitude
+each harmonic k damps with exponent k^2 times the k=1 exponent.  One
+closed form gives the harmonics of the amplitude
 L e^{-i phi m} u, with L = Dx_last and u = Dx_first c: basis states a and
 a-k differ by k in m, so p_m(phi) = f_0[m] + sum_k 2 Re(f_k[m] e^{i k phi})
 with f_k[m] = sum_a L[m,a] conj(L[m,a-k]) u_a conj(u_{a-k}).  The Monte
 Carlo path samples (z0, vz) directly and must agree with the analytic path
 within statistics; it is the cross-check for the harmonic generalization.
-Both paths are linear in an initial Populations, an incoherent mixture of
-the Zeeman basis states, so one set of harmonics, or of Monte Carlo draws,
-serves all the basis states of a mixture.
+It draws each batch of samples once per curve and evaluates it at every
+timing and for every column.  Both paths are linear in an initial
+Populations, an incoherent mixture of the Zeeman basis states, so one set of
+harmonics, or of Monte Carlo draws, serves all the basis states of a
+mixture.
 """
 
 from __future__ import annotations
@@ -67,11 +75,16 @@ class SequenceTiming:
     tau2: float = 0.0
 
     def __post_init__(self):
-        for name in ("tau1", "tau2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.tau1 < 0 or self.tau2 < 0:
-            raise ValueError("tau1 and tau2 must be >= 0")
+        _check_delays(self.tau1, self.tau2)
+
+
+def _check_delays(tau1, tau2) -> None:
+    """Delays (scalars or arrays) must be finite and >= 0."""
+    for name, t in (("tau1", tau1), ("tau2", tau2)):
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"{name} must be finite")
+        if np.any(np.less(t, 0)):
+            raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -100,18 +113,22 @@ class EnsembleSpec:
         return math.sqrt(CONSTANTS.k_b * self.t_axial / self.mass)
 
 
+def _phase_terms(field: FieldConfig, kind: SequenceKind, tau1, tau2):
+    """Coefficients (a, g_z, g_v) of the free-evolution phase
+    phi = a + g_z z0 + g_v vz; tau1 and tau2 may be arrays."""
+    g = field.constants.gamma
+    gb1 = field.gamma_b1
+    if kind is SequenceKind.RAMSEY:
+        return g * field.b0 * tau1, gb1 * tau1, 0.5 * gb1 * tau1**2
+    dtau = tau2 - tau1
+    return -g * field.b0 * dtau, -gb1 * dtau, 0.5 * gb1 * (dtau**2 - 2 * tau2**2)
+
+
 def _phase(field: FieldConfig, kind: SequenceKind, z0, vz, tau1: float, tau2: float):
     """Free-evolution phase of :func:`phase_ramsey` or :func:`phase_echo`;
     z0 and vz may be arrays."""
-    g = field.constants.gamma
-    if kind is SequenceKind.RAMSEY:
-        return g * field.b0 * tau1 + field.gamma_b1 * (z0 * tau1 + 0.5 * vz * tau1**2)
-    dtau = tau2 - tau1
-    return (
-        -g * field.b0 * dtau
-        - field.gamma_b1 * z0 * dtau
-        + 0.5 * field.gamma_b1 * vz * (dtau**2 - 2 * tau2**2)
-    )
+    a, g_z, g_v = _phase_terms(field, kind, tau1, tau2)
+    return a + g_z * z0 + g_v * vz
 
 
 def phase_ramsey(field: FieldConfig, z0: float, vz: float, tau1: float) -> Angle:
@@ -131,18 +148,12 @@ def phase_echo(field: FieldConfig, z0: float, vz: float, tau1: float, tau2: floa
     return Angle(_phase(field, SequenceKind.ECHO, z0, vz, tau1, tau2))
 
 
-def _sequence_angles(kind: SequenceKind) -> tuple[float, float]:
-    if kind is SequenceKind.RAMSEY:
-        return (math.pi / 2, math.pi / 2)
-    return (math.pi / 2, 3 * math.pi / 2)
-
-
 @lru_cache(maxsize=None)
 def _dx_pair(two_j: int, kind: SequenceKind):
     sys = build_spin_system(two_j / 2)
-    first, last = _sequence_angles(kind)
+    last = math.pi / 2 if kind is SequenceKind.RAMSEY else 3 * math.pi / 2
     return (
-        rotation_operator(sys, RotationAxis.X, first),
+        rotation_operator(sys, RotationAxis.X, math.pi / 2),
         rotation_operator(sys, RotationAxis.X, last),
         sys.m_values.copy(),
     )
@@ -176,62 +187,43 @@ def _phase_harmonics(first: np.ndarray, last: np.ndarray, columns: np.ndarray) -
     return np.stack([np.einsum("mac,mac->mc", x[:, k:], x[:, : n - k].conj()) for k in range(n)])
 
 
-def ramsey_envelope(field: FieldConfig, spec: EnsembleSpec, tau1) -> np.ndarray | float:
-    """Two-factor dephasing envelope of <cos phi> (carrier excluded):
+def _carrier_and_variance(field: FieldConfig, spec: EnsembleSpec, kind: SequenceKind, tau1, tau2):
+    """Deterministic phase a and Gaussian variance of phi (vectorized)."""
+    a, g_z, g_v = _phase_terms(
+        field, kind, np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
+    )
+    return a, (g_z * spec.sigma_z0) ** 2 + (g_v * spec.sigma_vz) ** 2
 
-    exp[-(gamma B1 sigma_z0 tau1)^2 / 2] * exp[-(gamma B1)^2 (kT/m) tau1^4 / 8]
-    """
-    t = np.asarray(tau1, dtype=float)
-    gb1 = field.gamma_b1
-    gauss = np.exp(-0.5 * (gb1 * spec.sigma_z0 * t) ** 2)
-    quartic = np.exp(-0.125 * gb1**2 * spec.sigma_vz**2 * t**4)
-    out = gauss * quartic
-    return out if out.ndim else float(out)
+
+def _scalar_or_array(x: np.ndarray) -> np.ndarray | float:
+    return x if x.ndim else float(x)
+
+
+def ramsey_envelope(field: FieldConfig, spec: EnsembleSpec, tau1) -> np.ndarray | float:
+    """Dephasing envelope exp(-var phi / 2) of <cos phi> (carrier excluded):
+    a Gaussian in tau1 from the position spread times a tau1^4 factor from
+    the velocity spread."""
+    _, var = _carrier_and_variance(field, spec, SequenceKind.RAMSEY, tau1, 0.0)
+    return _scalar_or_array(np.exp(-0.5 * var))
 
 
 def ramsey_damped_cosine(field: FieldConfig, spec: EnsembleSpec, tau1) -> np.ndarray | float:
     """<cos phi(tau1)>: the carrier cos(gamma B0 tau1) times the envelope."""
-    t = np.asarray(tau1, dtype=float)
-    carrier = np.cos(field.constants.gamma * field.b0 * t)
-    out = carrier * ramsey_envelope(field, spec, t)
-    return out if out.ndim else float(out)
+    a, var = _carrier_and_variance(field, spec, SequenceKind.RAMSEY, tau1, 0.0)
+    return _scalar_or_array(np.cos(a) * np.exp(-0.5 * var))
 
 
 def echo_envelope(field: FieldConfig, spec: EnsembleSpec, tau1, tau2) -> np.ndarray | float:
-    """Echo dephasing envelope; at tau1 = tau2 = tau it reduces exactly to
-    exp[-(gamma B1)^2 (k_B T_z / m) tau^4 / 2] (the tau^4 law)."""
-    t1 = np.asarray(tau1, dtype=float)
-    t2 = np.asarray(tau2, dtype=float)
-    gb1 = field.gamma_b1
-    dtau = t2 - t1
-    gauss = np.exp(-0.5 * (gb1 * spec.sigma_z0 * dtau) ** 2)
-    quartic = np.exp(-0.125 * gb1**2 * spec.sigma_vz**2 * (dtau**2 - 2 * t2**2) ** 2)
-    out = gauss * quartic
-    return out if out.ndim else float(out)
+    """Echo dephasing envelope exp(-var phi / 2); at tau1 = tau2 = tau it
+    reduces exactly to exp[-(gamma B1)^2 (k_B T_z / m) tau^4 / 2] (the tau^4
+    law)."""
+    _, var = _carrier_and_variance(field, spec, SequenceKind.ECHO, tau1, tau2)
+    return _scalar_or_array(np.exp(-0.5 * var))
 
 
 class AverageMethod(Enum):
     ANALYTIC = "analytic"
     MONTE_CARLO = "montecarlo"
-
-
-def _carrier_and_variance(field: FieldConfig, spec: EnsembleSpec, kind: SequenceKind, tau1, tau2):
-    """Deterministic phase A and Gaussian variance of phi (vectorized)."""
-    g = field.constants.gamma
-    gb1 = field.gamma_b1
-    t1 = np.asarray(tau1, dtype=float)
-    if kind is SequenceKind.RAMSEY:
-        a = g * field.b0 * t1
-        var = gb1**2 * (spec.sigma_z0**2 * t1**2 + 0.25 * spec.sigma_vz**2 * t1**4)
-    else:
-        t2 = np.asarray(tau2, dtype=float)
-        dtau = t2 - t1
-        a = -g * field.b0 * dtau
-        var = gb1**2 * (
-            spec.sigma_z0**2 * dtau**2
-            + 0.25 * spec.sigma_vz**2 * (dtau**2 - 2 * t2**2) ** 2
-        )
-    return a, var
 
 
 def _harmonic_sum(a, var, coeffs: np.ndarray) -> np.ndarray:
@@ -244,39 +236,6 @@ def _harmonic_sum(a, var, coeffs: np.ndarray) -> np.ndarray:
         damp = np.exp(-0.5 * k * k * var)
         out += 2 * damp[:, None] * (coeffs[k][None, :] * np.exp(1j * k * a)[:, None]).real
     return out
-
-
-def _mc_average(
-    field: FieldConfig,
-    spec: EnsembleSpec,
-    timing: SequenceTiming,
-    initial: StateVector | Populations,
-) -> np.ndarray:
-    """Monte Carlo ensemble average.
-
-    Samples are partitioned into fixed-size batches; batch i draws from the
-    i-th child of SeedSequence(seed) and the batch sums are added in batch
-    order, so the result is bit-identical for a given (seed, n_samples).
-    Every amplitude column of ``initial`` is evaluated on the same draws.
-    """
-    if spec.n_samples < 100:
-        warnings.warn(
-            f"n_samples={spec.n_samples} gives a high-variance Monte Carlo average",
-            UserWarning,
-            stacklevel=3,
-        )
-    n_batches = math.ceil(spec.n_samples / _MC_BATCH)
-    children = np.random.SeedSequence(spec.seed).spawn(n_batches)
-    columns, weights = mixture_columns(initial)
-    total = np.zeros(columns.shape)
-    for i, child in enumerate(children):
-        size = min(_MC_BATCH, spec.n_samples - i * _MC_BATCH)
-        rng = np.random.default_rng(child)
-        z0 = rng.normal(0.0, spec.sigma_z0, size)
-        vz = rng.normal(0.0, spec.sigma_vz, size)
-        phi = _phase(field, timing.kind, z0, vz, timing.tau1, timing.tau2)
-        total += _population_sums(columns, timing.kind, phi)
-    return total / spec.n_samples @ weights
 
 
 def ensemble_average(
@@ -312,7 +271,8 @@ def ensemble_average_curve(
     scalar tau1 with an array tau2).  ``initial`` defaults to |+2>; a
     Populations is an incoherent mixture of the Zeeman basis states, run
     once for all its basis states (one set of harmonics, or one set of
-    Monte Carlo draws per timing).
+    Monte Carlo draws for the whole curve).  Delays must be finite and
+    >= 0 for both methods.
     """
     if initial is None:
         initial = zeeman_state(2, 2)
@@ -324,13 +284,28 @@ def ensemble_average_curve(
         t1, t2 = np.broadcast_arrays(t1, t2)
     else:
         t2 = np.zeros_like(t1)
+    _check_delays(t1, t2)
+    columns, weights = mixture_columns(initial)
     if method is AverageMethod.ANALYTIC:
-        columns, weights = mixture_columns(initial)
         dx_first, dx_last, _ = _dx_pair(columns.shape[0] - 1, kind)
         a, var = _carrier_and_variance(field, spec, kind, t1, t2)
         return _harmonic_sum(a, var, _phase_harmonics(dx_first, dx_last, columns) @ weights)
-    rows = [
-        _mc_average(field, spec, SequenceTiming(kind, a, b), initial)
-        for a, b in zip(t1, t2)
-    ]
-    return np.array(rows)
+    # Monte Carlo: batch i draws from the i-th child of SeedSequence(seed) and
+    # each timing adds its batch sums in batch order, so the result is
+    # bit-identical for a given (seed, n_samples) and timing
+    if spec.n_samples < 100:
+        warnings.warn(
+            f"n_samples={spec.n_samples} gives a high-variance Monte Carlo average",
+            UserWarning,
+            stacklevel=2,
+        )
+    n_batches = math.ceil(spec.n_samples / _MC_BATCH)
+    total = np.zeros((t1.size, *columns.shape))
+    for i, child in enumerate(np.random.SeedSequence(spec.seed).spawn(n_batches)):
+        size = min(_MC_BATCH, spec.n_samples - i * _MC_BATCH)
+        rng = np.random.default_rng(child)
+        z0 = rng.normal(0.0, spec.sigma_z0, size)
+        vz = rng.normal(0.0, spec.sigma_vz, size)
+        for row, a, b in zip(total, t1, t2):
+            row += _population_sums(columns, kind, _phase(field, kind, z0, vz, a, b))
+    return total / spec.n_samples @ weights

@@ -57,8 +57,8 @@ Grid bounds are set by a dimensionless scale of the sampled trace:
   echo    phase spread sqrt(c) tau_last^2 from 1e-3 to 1e2 rad, 16 points
           per decade.
 
-An ``initial_guess`` for the nonlinear parameter ("omega", "b1" or
-"compound") narrows its grid to [guess / 2, 2 guess] within these bounds.
+``fit_rabi`` takes an ``initial_guess`` for "omega", which narrows its
+grid to [guess / 2, 2 guess] within these bounds.
 Residuals weight all m channels equally unless per-sample weights are given.
 """
 
@@ -76,6 +76,7 @@ from .ensemble import (
     EnsembleSpec,
     SequenceKind,
     _carrier_and_variance,
+    _check_delays,
     _dx_pair,
     _harmonic_sum,
     _phase_harmonics,
@@ -224,22 +225,22 @@ def _grid_bounds(lo: float, hi: float, guess) -> tuple[float, float]:
     return narrow_lo, narrow_hi
 
 
-def _check_degenerate(data: TimeSeries, n_evals: int = 0) -> FitResult | None:
+def _check_degenerate(data: TimeSeries) -> FitResult | None:
     variation = float(np.max(np.ptp(data.populations, axis=0)))
     if variation < 1e-9:
         return FitResult(
             params={},
             residual_rms=0.0,
             converged=False,
-            n_evals=n_evals,
+            n_evals=0,
             diagnostic="constant trace: parameters are not identifiable",
         )
     return None
 
 
-def _require_enough_points(data: TimeSeries, minimum: int = 2) -> None:
-    if data.n < minimum:
-        raise ValueError(f"need at least {minimum} samples to fit, got {data.n}")
+def _require_enough_points(data: TimeSeries) -> None:
+    if data.n < 2:
+        raise ValueError(f"need at least 2 samples to fit, got {data.n}")
 
 
 def rabi_model_curve(times: np.ndarray, omega: float, weights: np.ndarray) -> np.ndarray:
@@ -321,19 +322,16 @@ def echo_model_curve(times, compound: float, weights: np.ndarray) -> np.ndarray:
     return _echo_basis(np.asarray(times, dtype=float), compound) @ weights
 
 
-def fit_ramsey(
-    data: TimeSeries,
-    known: dict,
-    initial_guess: dict | None = None,
-) -> FitResult:
+def fit_ramsey(data: TimeSeries, known: dict) -> FitResult:
     """Fit the gradient B1 and initial populations to a Ramsey trace.
 
     ``known`` must provide b0 (T), sigma_z0 (m), and t_axial (K); mass (kg)
     is optional and defaults to neon-20.  times are tau1.  The model is the
     analytic ensemble average, so B1 enters only through its square and the
-    reported value is non-negative.
+    reported value is non-negative.  Delays must be finite and >= 0.
     """
     _require_enough_points(data)
+    _check_delays(data.times, 0.0)
     degenerate = _check_degenerate(data)
     if degenerate is not None:
         return degenerate
@@ -355,7 +353,6 @@ def fit_ramsey(
     if not spread_unit > 0:
         raise ValueError("the last delay must be positive to resolve B1")
     lo, hi = (s / spread_unit for s in _PHASE_SPREAD_BOUNDS)
-    lo, hi = _grid_bounds(lo, hi, (initial_guess or {}).get("b1"))
     return _varpro_fit(
         data,
         lambda b1: _harmonic_basis(SequenceKind.RAMSEY, carrier, b1**2 * var_unit),
@@ -364,11 +361,7 @@ def fit_ramsey(
     )
 
 
-def fit_echo(
-    data: TimeSeries,
-    known: dict,
-    initial_guess: dict | None = None,
-) -> FitResult:
+def fit_echo(data: TimeSeries, known: dict) -> FitResult:
     """Fit the compound parameter c = (gamma B1)^2 k_B T_z / m to an echo
     trace taken at tau1 = tau2 (times are tau_tilde).
 
@@ -393,7 +386,6 @@ def fit_echo(
         raise ValueError("the last delay must be positive to resolve the compound parameter")
     # phase spread sqrt(c) tau^2 at the last delay
     lo, hi = (s**2 / t_last**4 for s in _PHASE_SPREAD_BOUNDS)
-    lo, hi = _grid_bounds(lo, hi, (initial_guess or {}).get("compound"))
     result = _varpro_fit(
         data,
         lambda c: _echo_basis(t, c),

@@ -45,7 +45,6 @@ from .core import (
     StateVector,
     build_spin_system,
     mixture_columns,
-    rad_per_s,
 )
 
 
@@ -295,16 +294,16 @@ def evolve_state(
     return StateVector(_evolve_spin(state.amplitudes[:, None], spec, [t0, t1], tol)[-1, :, 0])
 
 
-def rotating_frame_state(state: StateVector, omega_rf, t: float) -> StateVector:
+def rotating_frame_state(state: StateVector, omega_rf: float, t: float) -> StateVector:
     """psi_rot = exp(+i w t Jz) psi_lab (diagonal, populations unchanged)."""
     j = (state.dim - 1) / 2
     m = j - np.arange(state.dim)
-    return StateVector(np.exp(1j * rad_per_s(omega_rf) * t * m) * state.amplitudes)
+    return StateVector(np.exp(1j * omega_rf * t * m) * state.amplitudes)
 
 
-def lab_frame_state(state: StateVector, omega_rf, t: float) -> StateVector:
+def lab_frame_state(state: StateVector, omega_rf: float, t: float) -> StateVector:
     """Inverse of :func:`rotating_frame_state`."""
-    return rotating_frame_state(state, -rad_per_s(omega_rf), t)
+    return rotating_frame_state(state, -omega_rf, t)
 
 
 @dataclass(frozen=True)
@@ -355,12 +354,7 @@ def _sigma_plus_weights() -> np.ndarray:
     return np.array([clebsch_gordan(2, m, 1, 1, 1, m + 1) ** 2 for m in (2, 1, 0, -1, -2)])
 
 
-def lightshift_vector(
-    omega_light,
-    detuning,
-    polarization: str = "sigma+",
-    transition: str = "2->1",
-) -> np.ndarray:
+def lightshift_vector(omega_light: float, detuning: float) -> np.ndarray:
     """AC-Stark shifts of the five m states from far-detuned sigma+ light
     driving J=2 -> J'=1, in rad/s, basis m = +2 ... -2.
 
@@ -369,16 +363,13 @@ def lightshift_vector(
     sigma+ partner in J'=1 and are unshifted, which is what isolates the
     (+2, +1) two-level system.
     """
-    if polarization != "sigma+" or transition != "2->1":
-        raise ValueError("only sigma+ light on the J=2 -> J'=1 transition is modeled")
-    delta = rad_per_s(detuning)
-    if delta == 0:
+    if detuning == 0:
         raise ValueError("detuning must be nonzero")
-    return _sigma_plus_weights() * rad_per_s(omega_light) ** 2 / (4 * delta)
+    return _sigma_plus_weights() * omega_light**2 / (4 * detuning)
 
 
-def lightshift_from_scale(scale) -> np.ndarray:
+def lightshift_from_scale(scale: float) -> np.ndarray:
     """Light-shift vector normalized so the m=0 shift is -|scale| (red detuned),
     with the m=-1 and m=-2 shifts in the physical CG^2 ratios (1 : 3 : 6)."""
     weights = _sigma_plus_weights()
-    return -abs(rad_per_s(scale)) * weights / weights[2]
+    return -abs(scale) * weights / weights[2]

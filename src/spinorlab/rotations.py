@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Populations, SpinSystem, StateVector, build_spin_system, rad_per_s
+from .core import Populations, SpinSystem, StateVector, build_spin_system
 
 
 class RotationAxis(Enum):
@@ -37,10 +37,6 @@ class Angle:
         return float(self.radians)
 
 
-def _radians(angle) -> float:
-    return float(angle)
-
-
 @lru_cache(maxsize=None)
 def _transverse_eig(two_j: int, axis: RotationAxis):
     sys = build_spin_system(two_j / 2)
@@ -51,7 +47,7 @@ def _transverse_eig(two_j: int, axis: RotationAxis):
 
 def rotation_operator(sys: SpinSystem, axis: RotationAxis, angle) -> np.ndarray:
     """Unitary exp(-i * angle * J_axis) in the m = +J ... -J basis."""
-    theta = _radians(angle)
+    theta = float(angle)
     if axis is RotationAxis.Z:
         return np.diag(np.exp(-1j * theta * sys.m_values))
     w, v = _transverse_eig(round(2 * sys.j), axis)
@@ -139,10 +135,10 @@ def rotation_population_curve(initial_m: int, theta) -> np.ndarray:
 
 def rotation_populations(initial_m: int, theta) -> Populations:
     """Scalar-angle version of :func:`rotation_population_curve`."""
-    return Populations(rotation_population_curve(initial_m, _radians(theta)))
+    return Populations(rotation_population_curve(initial_m, float(theta)))
 
 
-def two_level_population(t: float, omega, p2_0: float, p1_0: float):
+def two_level_population(t: float, omega: float, p2_0: float, p1_0: float):
     """Resonant two-level oscillation between the m=+2 and m=+1 states.
 
     p_{+2}(t) = p2_0 cos^2(Omega t / 2) + p1_0 sin^2(Omega t / 2); the
@@ -153,8 +149,7 @@ def two_level_population(t: float, omega, p2_0: float, p1_0: float):
         raise ValueError("initial populations must be non-negative")
     if p2_0 + p1_0 > 1 + 1e-12:
         raise ValueError("initial two-level populations exceed 1")
-    w = rad_per_s(omega)
-    half = 0.5 * w * t
+    half = 0.5 * omega * t
     p2 = p2_0 * math.cos(half) ** 2 + p1_0 * math.sin(half) ** 2
     return p2, (p2_0 + p1_0) - p2
 

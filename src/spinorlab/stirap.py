@@ -2,7 +2,7 @@
 
 Chain basis order: (|+2>, |e2>, |+1>, |e1>, |0>), where |e2> = |J'=2, m'=+2>
 and |e1> = |J'=2, m'=+1>.  The pump beam drives the pi transitions
-|+2>-|e2> and |+1>-|e1|; the Stokes beam drives the sigma+ transitions
+|+2>-|e2> and |+1>-|e1>; the Stokes beam drives the sigma+ transitions
 |+1>-|e2> and |0>-|e1>.  The pi transition m=0 -> m'=0 is dipole forbidden
 (its Clebsch-Gordan coefficient vanishes), so the chain terminates at |0>.
 
@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core import Populations, StateVector, rad_per_s
+from .core import Populations, StateVector
 
 CHAIN_LABELS = ("+2", "e2", "+1", "e1", "0")
 
@@ -182,7 +182,7 @@ def pulse_envelopes(p: StirapParams, t):
     fixed ratio, which is what maps the dark state onto a superposition.
     """
     t = np.asarray(t, dtype=float)
-    w0 = rad_per_s(p.omega0_peak)
+    w0 = p.omega0_peak
     pump = w0 * np.exp(-((t - p.delta_t) ** 2) / p.tau_pulse**2)
     stokes = w0 * np.exp(-(t**2) / p.tau_pulse**2) + p.eta * pump
     return stokes, pump
@@ -202,16 +202,17 @@ def fstirap_populations_closed(eta: float) -> Populations:
     return Populations(np.array([3 * eta**4, 6 * eta**2, 2.0]) / denom)
 
 
-def dark_state(eta: float, couplings: ChainCouplings | None = None) -> StateVector:
+def dark_state(eta: float) -> StateVector:
     """Asymptotic (t -> +inf) dark state of the chain for pulse ratio eta.
 
-    Zero amplitude on both excited states; with the physical couplings its
-    populations reproduce :func:`fstirap_populations_closed`.  Written in a
-    form regular at eta = 0, where it reduces to |0>.
+    Zero amplitude on both excited states; with the physical couplings of
+    :func:`physical_chain_couplings` its populations reproduce
+    :func:`fstirap_populations_closed`.  Written in a form regular at
+    eta = 0, where it reduces to |0>.
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    cc = couplings or physical_chain_couplings()
+    cc = physical_chain_couplings()
     a1, a2 = cc.pump_cg
     b1, b2 = cc.stokes_cg
     amps = np.array(
@@ -220,16 +221,11 @@ def dark_state(eta: float, couplings: ChainCouplings | None = None) -> StateVect
     return StateVector.normalized(amps)
 
 
-def chain_hamiltonian(
-    p: StirapParams,
-    omega_pump: float,
-    omega_stokes: float,
-    couplings: ChainCouplings | None = None,
-) -> np.ndarray:
+def chain_hamiltonian(p: StirapParams, omega_pump: float, omega_stokes: float) -> np.ndarray:
     """Instantaneous chain Hamiltonian for given beam amplitudes (rad/s)."""
-    cc = couplings or physical_chain_couplings()
+    cc = physical_chain_couplings()
     d2 = p.two_photon_detuning
-    delta = rad_per_s(p.detuning)
+    delta = p.detuning
     h = np.zeros((5, 5), complex)
     h[1, 1] = -delta - 0.5j * p.gamma_e
     h[2, 2] = -d2
@@ -252,7 +248,7 @@ def _integrate(p: StirapParams, initial: np.ndarray, t_eval=None):
     a0 = -1j * h0
     a_pump = -1j * (chain_hamiltonian(p, 1.0, 0.0) - h0)
     a_stokes = -1j * (chain_hamiltonian(p, 0.0, 1.0) - h0)
-    w0 = rad_per_s(p.omega0_peak)
+    w0 = p.omega0_peak
     tau2 = p.tau_pulse**2
     dt = p.delta_t
     eta = p.eta
@@ -280,7 +276,7 @@ def _integrate(p: StirapParams, initial: np.ndarray, t_eval=None):
 
 
 def _warn_if_nonadiabatic(p: StirapParams) -> None:
-    if rad_per_s(p.omega0_peak) * p.tau_pulse < 10:
+    if p.omega0_peak * p.tau_pulse < 10:
         warnings.warn(
             "pulse area omega0_peak * tau_pulse < 10; transfer may be non-adiabatic",
             NonAdiabaticPulseWarning,

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinorlab.core import (
-    AngularFrequency,
     CONSTANTS,
     PhysicalConstants,
     Populations,
@@ -98,14 +97,6 @@ def test_populations_of_normalize_is_idempotent(pairs):
     p2 = populations(StateVector.normalized(state.amplitudes)).p
     assert np.allclose(p1, p2, atol=1e-12)
     assert abs(p1.sum() - 1) < 1e-10
-
-
-def test_angular_frequency_constructors_are_exact():
-    assert float(AngularFrequency.kilohertz(800)) == 2 * math.pi * 800e3
-    assert float(AngularFrequency.megahertz(1.5)) == 2 * math.pi * 1.5e6
-    assert AngularFrequency.hertz(10).hz == pytest.approx(10)
-    with pytest.raises(ValueError):
-        AngularFrequency(float("nan"))
 
 
 def test_gyromagnetic_ratio_value():

@@ -166,7 +166,7 @@ def test_echo_rephases_static_dephasing_completely():
         assert p[0] == pytest.approx(1.0, abs=1e-6), method
 
 
-def test_sequence_timing_validation():
+def test_sequence_timing_validation(monkeypatch):
     with pytest.raises(ValueError):
         SequenceTiming(SequenceKind.RAMSEY, -1e-6)
     for kind in SequenceKind:
@@ -184,6 +184,51 @@ def test_sequence_timing_validation():
                 EnsembleSpec(**{"sigma_z0": 1e-3, "t_axial": 1e-3, name: bad})
     with pytest.raises(ValueError):
         EnsembleSpec(sigma_z0=1e-3, t_axial=1e-3, n_samples=0)
+
+    # both methods reject a bad delay of a curve before averaging any timing
+    def no_sampling(*args):
+        raise AssertionError("Monte Carlo sampling before the delay check")
+
+    monkeypatch.setattr(ensemble, "_population_sums", no_sampling)
+    bad_delays = (
+        (SequenceKind.RAMSEY, [5e-6, math.nan], None, "^tau1 must be finite"),
+        (SequenceKind.ECHO, 5e-6, [5e-6, math.inf], "^tau2 must be finite"),
+        (SequenceKind.RAMSEY, [5e-6, -1e-5], None, "^tau1 must be >= 0"),
+    )
+    for method in AverageMethod:
+        for kind, tau1, tau2, message in bad_delays:
+            with pytest.raises(ValueError, match=message):
+                ensemble_average_curve(RAMSEY_FIELD, THERMAL, kind, tau1, tau2, PLUS2, method)
+
+
+def test_phase_matches_written_out_phases():
+    # phase_ramsey's and phase_echo's docstring forms, term by term
+    rng = np.random.default_rng(21)
+    z0, vz = rng.normal(0, 1e-3, 50), rng.normal(0, 0.5, 50)
+    tau1, tau2 = rng.uniform(0, 3e-4, (2, 50))
+    g, b0, gb1 = CONSTANTS.gamma, ECHO_FIELD.b0, ECHO_FIELD.gamma_b1
+    ramsey = g * b0 * tau1 + gb1 * (z0 * tau1 + vz * tau1**2 / 2)
+    dtau = tau2 - tau1
+    echo = -g * b0 * dtau - gb1 * z0 * dtau + gb1 * vz * (dtau**2 - 2 * tau2**2) / 2
+    for kind, oracle in ((SequenceKind.RAMSEY, ramsey), (SequenceKind.ECHO, echo)):
+        got = ensemble._phase(ECHO_FIELD, kind, z0, vz, tau1, tau2)
+        np.testing.assert_allclose(got, oracle, rtol=1e-13, atol=0)
+
+
+def test_envelopes_match_two_factor_closed_forms():
+    gb1, sz, sv = RAMSEY_FIELD.gamma_b1, THERMAL.sigma_z0, THERMAL.sigma_vz
+    tau = np.linspace(0, 60e-6, 61)
+    ramsey = np.exp(-0.5 * (gb1 * sz * tau) ** 2) * np.exp(-0.125 * gb1**2 * sv**2 * tau**4)
+    got = ramsey_envelope(RAMSEY_FIELD, THERMAL, tau)
+    np.testing.assert_allclose(got, ramsey, rtol=1e-14, atol=0)
+    gb1 = ECHO_FIELD.gamma_b1
+    tau1, tau2 = np.linspace(0, 150e-6, 61), np.linspace(0, 160e-6, 61)
+    dtau = tau2 - tau1
+    echo = np.exp(-0.5 * (gb1 * sz * dtau) ** 2) * np.exp(
+        -0.125 * gb1**2 * sv**2 * (dtau**2 - 2 * tau2**2) ** 2
+    )
+    got = echo_envelope(ECHO_FIELD, THERMAL, tau1, tau2)
+    np.testing.assert_allclose(got, echo, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -351,3 +396,36 @@ def test_monte_carlo_mixture_draws_each_batch_once(monkeypatch):
     mixed = curve(Populations(weights))
     assert len(calls) == 3 * tau.size  # each batch drawn once per timing for both states
     np.testing.assert_allclose(mixed, per_state, rtol=0, atol=1e-15)
+
+
+def test_monte_carlo_curve_draws_each_batch_once(monkeypatch):
+    spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=2 * ensemble._MC_BATCH + 100)
+    generators = []
+    default_rng = np.random.default_rng
+
+    def counting(*args):
+        generators.append(args)
+        return default_rng(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    ensemble_average_curve(
+        RAMSEY_FIELD, spec, SequenceKind.RAMSEY, np.linspace(0, 60e-6, 4),
+        method=AverageMethod.MONTE_CARLO,
+    )
+    assert len(generators) == 3  # one per batch, not one per batch and timing
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_monte_carlo_curve_equals_per_timing_averages(kind):
+    spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=ensemble._MC_BATCH + 50, seed=7)
+    initial = Populations([0.6, 0.0, 0.25, 0.0, 0.15])
+    tau1 = np.array([0.0, 20e-6, 45e-6])
+    tau2 = 1.5 * tau1 if kind is SequenceKind.ECHO else np.zeros(3)
+    curve = ensemble_average_curve(
+        ECHO_FIELD, spec, kind, tau1, tau2, initial, AverageMethod.MONTE_CARLO
+    )
+    for row, a, b in zip(curve, tau1, tau2):
+        single = ensemble_average(
+            ECHO_FIELD, spec, SequenceTiming(kind, a, b), initial, AverageMethod.MONTE_CARLO
+        )
+        assert np.array_equal(row, single.p)

@@ -168,6 +168,14 @@ def test_ramsey_null_gradient_reports_grid_floor():
     assert fit_ramsey(synthetic_ramsey(4.5), RAMSEY_KNOWN).diagnostic is None
 
 
+def test_ramsey_rejects_negative_delay():
+    # the model curve of a fit is an ensemble average, which takes no negative delay
+    data = synthetic_ramsey(4.5)
+    shifted = TimeSeries(times=data.times - data.times[1], populations=data.populations)
+    with pytest.raises(ValueError, match="^tau1 must be >= 0"):
+        fit_ramsey(shifted, RAMSEY_KNOWN)
+
+
 def synthetic_echo(b1_mg_mm: float, t_axial: float, n=60, t_max=220e-6):
     field = FieldConfig(b0=0.0, b1=b1_mg_mm * MG_PER_MM)
     spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=t_axial, n_samples=1)

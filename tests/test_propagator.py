@@ -266,8 +266,6 @@ def test_lightshift_selection_rules_and_ratios():
 def test_lightshift_rejects_zero_detuning():
     with pytest.raises(ValueError):
         lightshift_vector(TWO_PI * 1e6, 0.0)
-    with pytest.raises(ValueError):
-        lightshift_vector(TWO_PI * 1e6, -TWO_PI * 1e6, polarization="pi")
 
 
 def test_lightshift_from_scale_weights():
