@@ -346,13 +346,7 @@ def _run_fit_ramsey(params: dict) -> RunOutput:
 
 def _run_fit_echo(params: dict) -> RunOutput:
     data = _load_timeseries("data", params["data"])
-    if (params["t_axial"] is None) == (params["b1"] is None):
-        raise ConfigError("t_axial: supply exactly one of t_axial or b1 for fit-echo")
-    known: dict = {"sigma_z0": params["sigma_z0"]}
-    if params["t_axial"] is not None:
-        known["t_axial"] = params["t_axial"]
-    else:
-        known["b1"] = params["b1"]
+    known = {k: params[k] for k in ("sigma_z0", "t_axial", "b1") if params[k] is not None}
     result = fit.fit_echo(data, known)
     extra = {"compound_per_s4": result.params.get("compound", float("nan"))}
     if "b1" in result.params:

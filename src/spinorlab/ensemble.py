@@ -29,14 +29,17 @@ each harmonic k damps with exponent k^2 times the k=1 exponent.  One
 closed form gives the harmonics of the amplitude
 L e^{-i phi m} u, with L = Dx_last and u = Dx_first c: basis states a and
 a-k differ by k in m, so p_m(phi) = f_0[m] + sum_k 2 Re(f_k[m] e^{i k phi})
-with f_k[m] = sum_a L[m,a] conj(L[m,a-k]) u_a conj(u_{a-k}).  The Monte
-Carlo path samples (z0, vz) directly and must agree with the analytic path
-within statistics; it is the cross-check for the harmonic generalization.
-It draws each batch of samples once per curve and evaluates it at every
-timing and for every column.  Both paths are linear in an initial
-Populations, an incoherent mixture of the Zeeman basis states, so one set of
-harmonics, or of Monte Carlo draws, serves all the basis states of a
-mixture.
+with f_k[m] = sum_a L[m,a] conj(L[m,a-k]) u_a conj(u_{a-k}).  The
+analytic sum over harmonics is one (timing, harmonic) x (harmonic, column)
+matrix product of the damped carriers e^{i k a - k^2 var / 2} with the f_k
+(``_harmonic_sum``); the fits evaluate every model curve through it.  The
+Monte Carlo path samples (z0, vz) directly and must agree with the analytic
+path within statistics; it is the cross-check for the harmonic
+generalization.  It draws each batch of samples once per curve and
+evaluates it at every timing and for every column.  Both paths are linear
+in an initial Populations, an incoherent mixture of the Zeeman basis
+states, so one set of harmonics, or of Monte Carlo draws, serves all the
+basis states of a mixture.
 """
 
 from __future__ import annotations
@@ -227,15 +230,16 @@ class AverageMethod(Enum):
 
 
 def _harmonic_sum(a, var, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k <e^{i k phi}> f_k for a Gaussian phase with mean a and variance
-    var (arrays over timings); coeffs is (harmonic, column)."""
-    a = np.atleast_1d(a)
-    var = np.atleast_1d(var)
-    out = np.broadcast_to(coeffs[0].real, (a.size, coeffs.shape[1])).copy()
-    for k in range(1, coeffs.shape[0]):
-        damp = np.exp(-0.5 * k * k * var)
-        out += 2 * damp[:, None] * (coeffs[k][None, :] * np.exp(1j * k * a)[:, None]).real
-    return out
+    """f_0 + sum_k 2 Re(<e^{i k phi}> f_k) for a Gaussian phase with mean a
+    and variance var (scalars or arrays over timings); coeffs is
+    (harmonic, column), the result (timing, column)."""
+    k = np.arange(coeffs.shape[0])
+    terms = np.exp(
+        1j * np.multiply.outer(np.atleast_1d(a), k)
+        - 0.5 * np.multiply.outer(np.atleast_1d(var), k * k)
+    )
+    terms[:, 1:] *= 2
+    return (terms @ coeffs).real
 
 
 def ensemble_average(

@@ -23,21 +23,15 @@ a logarithmic grid and refined by a bounded scalar minimization between the
 grid neighbours of the best grid point; ``converged`` is the refinement's
 success flag.
 
-The Rabi basis is one matrix product.  A resonant drive rotates the spin
-by theta = Omega t / 2, and each basis curve p_m(m0, theta) = |d^2_{m m0}
-(theta)|^2 is a polynomial of degree eight in cos(theta/2) and sin(theta/2)
-that is even in theta, that is, an even trigonometric polynomial of order
-four.  So it equals sum_{k=0..4} C_k cos(k theta) exactly, and the 25
-curves are cos(outer(theta, k)) @ C with a fixed (5, 25) matrix C of dyadic
-rationals (35/128, 7/16, ...).  A rotation about x is Dz(theta) between the
-eigenbases of Jx, Dx(theta) = V Dz(theta) V^dagger with the eigenvalues
-ordered +2 ... -2, so C comes once from the phase-harmonic formula of
-``ensemble`` with first = V^dagger and last = V, and is cached;
-``rabi_model_curve`` still evaluates the closed forms.  Per trial Omega the
-basis costs n x 5 cosines and one (n, 5) by (5, 25) product, about 20 times
-less than the closed forms' powers at n = 1000, and no longer the larger
-part of a profile evaluation.  The two agree within 1e-12 for theta up to
-8000 rad.
+Every basis is one harmonic series.  Each of the 25 basis curves is a
+trigonometric polynomial of order four in one phase: theta = Omega t / 2
+for the resonant rotation Dx(theta) = V Dz(theta) V^dagger (V the Jx
+eigenvectors), and phi for Ramsey and echo.  Its cached harmonics
+(``_basis_coefficients``) are summed with the Gaussian-damped carriers by
+``ensemble._harmonic_sum`` as one matrix product: Rabi at (theta, var 0),
+Ramsey at (carrier, B1^2 var_1), echo at (0, c tau^4).  The Rabi series
+agrees with the closed forms of ``rabi_model_curve`` within 1e-12 for theta
+up to 8000 rad.
 
 Grid bounds are set by a dimensionless scale of the sampled trace:
 
@@ -49,9 +43,7 @@ Grid bounds are set by a dimensionless scale of the sampled trace:
           the 16-per-decade log grid is merged with a uniform grid of step
           pi / (4 t_max): one step moves the 2 Omega harmonic by pi/2 at
           t_max.  That is about 2n grid points for n uniform samples, each
-          an O(n) profile evaluation, so a Rabi fit costs O(n^2); the
-          cosine basis cuts the constant (about 6 times for the whole fit
-          at n = 1000), not the scaling.
+          an O(n) profile evaluation, so a Rabi fit costs O(n^2).
   ramsey  phase spread sqrt(var phi) at the last delay from 1e-3 to 1e2
           rad, 16 points per decade.  The floor reaches the B1 -> 0 limit.
   echo    phase spread sqrt(c) tau_last^2 from 1e-3 to 1e2 rad, 16 points
@@ -104,6 +96,9 @@ class TimeSeries:
         p = np.asarray(self.populations, dtype=float)
         if t.ndim != 1 or p.ndim != 2 or p.shape[0] != t.size:
             raise ValueError("times must be (n,) and populations (n, dim)")
+        for name, a in (("times", t), ("populations", p)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} must be finite")
         if t.size >= 2 and np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any(p.sum(axis=1) > 1 + 1e-6):
@@ -111,9 +106,9 @@ class TimeSeries:
         w = self.weights
         if w is not None:
             w = np.asarray(w, dtype=float)
-            if w.shape != (t.size,) or np.any(w < 0) or not np.any(w > 0):
+            if w.shape != (t.size,) or not np.all(np.isfinite(w) & (w >= 0)) or not np.any(w > 0):
                 raise ValueError(
-                    "weights must be non-negative, not all zero, with one entry per sample"
+                    "weights must be finite, non-negative, not all zero, with one entry per sample"
                 )
             w = w.copy()
             w.flags.writeable = False
@@ -264,62 +259,44 @@ def fit_rabi(data: TimeSeries, initial_guess: dict | None = None) -> FitResult:
     # the uniform part moves the 2 Omega harmonic by pi/2 at t_ref per step
     grid = np.union1d(_log_grid(lo, hi), np.arange(lo, hi, math.pi / (4 * t_ref)))
 
-    return _varpro_fit(data, lambda omega: _rabi_basis(0.5 * omega * data.times), grid, "omega")
-
-
-def _rabi_basis(theta: np.ndarray) -> np.ndarray:
-    """Rotation curves of the five basis initial states at the angles theta,
-    shape (n, channel, initial state), as one cosine-harmonic product."""
-    coeffs = _rabi_cosine_coefficients()
-    curves = np.cos(np.multiply.outer(theta, np.arange(coeffs.shape[0]))) @ coeffs
-    return curves.reshape(theta.size, 5, len(ZEEMAN_M))
-
-
-@lru_cache(maxsize=1)
-def _rabi_cosine_coefficients() -> np.ndarray:
-    """Cosine coefficients C_k, k = 0..4, of the closed-form rotation curves
-    of the five basis initial states, shape (harmonic, channel * initial
-    state): p(theta) = sum_k C_k cos(k theta).
-
-    Dx(theta) = V Dz(theta) V^dagger with V the eigenvectors of Jx, ordered
-    by eigenvalue +2 ... -2, so the curves are the phase harmonics of
-    first = V^dagger and last = V; they are even in theta, so C_k = f_0 at
-    k = 0 and 2 Re f_k above.
-    """
-    _, v = np.linalg.eigh(build_spin_system(2).jx)
-    v = v[:, ::-1]  # eigenvalues +2 ... -2, the order of m in Dz
-    f = _phase_harmonics(v.conj().T, v, np.eye(len(ZEEMAN_M))).real
-    f[1:] *= 2
-    f = f.reshape(f.shape[0], -1)
-    f.flags.writeable = False  # shared by every caller through the cache
-    return f
+    return _varpro_fit(
+        data, lambda omega: _harmonic_basis(None, 0.5 * omega * data.times, 0.0), grid, "omega"
+    )
 
 
 @lru_cache(maxsize=None)
-def _basis_coefficients(kind: SequenceKind) -> np.ndarray:
+def _basis_coefficients(kind: SequenceKind | None) -> np.ndarray:
     """Phase-harmonic coefficients of the five Zeeman basis initial states,
-    shape (harmonic, channel * initial state)."""
-    dx_first, dx_last, _ = _dx_pair(len(ZEEMAN_M) - 1, kind)
-    coeffs = _phase_harmonics(dx_first, dx_last, np.eye(len(ZEEMAN_M)))
+    shape (harmonic, channel * initial state), for the Ramsey or echo
+    sequence, or for the resonant rotation Dx(theta) when kind is None.
+
+    Dx(theta) = V Dz(theta) V^dagger with V the eigenvectors of Jx, ordered
+    by eigenvalue +2 ... -2 (the order of m in Dz), so the rotation curves
+    are the phase harmonics of first = V^dagger and last = V in theta.
+    """
+    if kind is None:
+        last = np.linalg.eigh(build_spin_system(2).jx)[1][:, ::-1]
+        first = last.conj().T
+    else:
+        first, last, _ = _dx_pair(len(ZEEMAN_M) - 1, kind)
+    coeffs = _phase_harmonics(first, last, np.eye(len(ZEEMAN_M)))
     coeffs = coeffs.reshape(coeffs.shape[0], -1)
     coeffs.flags.writeable = False  # shared by every caller through the cache
     return coeffs
 
 
-def _harmonic_basis(kind: SequenceKind, carrier, var) -> np.ndarray:
-    """Ensemble curves of the basis states, shape (n, channel, initial state)."""
+def _harmonic_basis(kind: SequenceKind | None, carrier, var) -> np.ndarray:
+    """Curves of the basis states for a Gaussian phase of mean ``carrier``
+    and variance ``var``, shape (n, channel, initial state)."""
     out = _harmonic_sum(carrier, var, _basis_coefficients(kind))
     return out.reshape(out.shape[0], 5, len(ZEEMAN_M))
 
 
-def _echo_basis(times: np.ndarray, compound: float) -> np.ndarray:
-    # at tau1 = tau2 the carrier cancels and the phase variance is c tau^4
-    return _harmonic_basis(SequenceKind.ECHO, np.zeros_like(times), compound * times**4)
-
-
 def echo_model_curve(times, compound: float, weights: np.ndarray) -> np.ndarray:
-    """Echo populations at tau1 = tau2 = times for the compound parameter c."""
-    return _echo_basis(np.asarray(times, dtype=float), compound) @ weights
+    """Echo populations at tau1 = tau2 = times for the compound parameter c:
+    the carrier cancels there and the phase variance is c tau^4."""
+    times = np.asarray(times, dtype=float)
+    return _harmonic_basis(SequenceKind.ECHO, 0.0, compound * times**4) @ weights
 
 
 def fit_ramsey(data: TimeSeries, known: dict) -> FitResult:
@@ -367,18 +344,18 @@ def fit_echo(data: TimeSeries, known: dict) -> FitResult:
 
     The tau^4 envelope fixes only c; params always report "compound" (units
     s^-4) and additionally b1 when known supplies t_axial, or t_axial when
-    known supplies b1.  B0 and sigma_z0 drop out at tau1 = tau2 but are
-    accepted in ``known`` for interface symmetry.
+    known supplies b1; ``known`` must supply exactly one of the two.  B0 and
+    sigma_z0 drop out at tau1 = tau2 but are accepted in ``known`` for
+    interface symmetry.  Delays must be finite and >= 0.
     """
     _require_enough_points(data)
+    if ("t_axial" in known) == ("b1" in known):
+        raise ValueError("known must supply exactly one of t_axial or b1")
+    _check_delays(data.times, data.times)
     degenerate = _check_degenerate(data)
     if degenerate is not None:
         return degenerate
     mass = float(known.get("mass", CONSTANTS.mass_ne20))
-    have_t = "t_axial" in known
-    have_b1 = "b1" in known
-    if not have_t and not have_b1:
-        raise ValueError("known must supply t_axial or b1 to resolve the compound parameter")
 
     t = data.times
     t_last = float(t[-1])
@@ -388,17 +365,16 @@ def fit_echo(data: TimeSeries, known: dict) -> FitResult:
     lo, hi = (s**2 / t_last**4 for s in _PHASE_SPREAD_BOUNDS)
     result = _varpro_fit(
         data,
-        lambda c: _echo_basis(t, c),
+        lambda c: _harmonic_basis(SequenceKind.ECHO, 0.0, c * t**4),
         # c scales as the phase spread squared
         _log_grid(lo, hi, _GRID_PER_DECADE / 2),
         "compound",
     )
     compound = result.params["compound"]
-    if have_t:
-        t_axial = float(known["t_axial"])
-        b1 = math.sqrt(compound * mass / (CONSTANTS.k_b * t_axial)) / CONSTANTS.gamma
-        result.params["b1"] = b1
-    if have_b1:
+    if "t_axial" in known:
+        k_t = CONSTANTS.k_b * float(known["t_axial"])
+        result.params["b1"] = math.sqrt(compound * mass / k_t) / CONSTANTS.gamma
+    else:
         b1 = float(known["b1"])
         result.params["t_axial"] = compound * mass / (CONSTANTS.k_b * (CONSTANTS.gamma * b1) ** 2)
     return result

@@ -1,17 +1,27 @@
-"""The names the benchmark's tracer wraps must exist in spinorlab.
+"""The names the benchmark's tracer wraps must exist in spinorlab, and the
+fits must call the ones it traces on the analysis workload.
 
 ``spinorbench/tracing.py`` wraps functions by (module, attribute) and reads
-some of their arguments by name.  A refactoring that renames one of them
-would otherwise fail only in a traced benchmark run; here it fails the
-unit tests.  The tracer module is imported read-only, by file path.
+some of their arguments by name.  A refactoring that renames one of them,
+or stops calling it, would otherwise fail only in a traced benchmark run;
+here it fails the unit tests.  The tracer module is imported read-only, by
+file path.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import sys
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
+
+from spinorlab import cli, fit
+from spinorlab.ensemble import EnsembleSpec, SequenceKind, ensemble_average_curve
+from spinorlab.propagator import FieldConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "spinorbench" / "tracing.py"
 
@@ -68,3 +78,58 @@ def test_argument_names_read_by_the_tracer_are_parameters():
             read[f"{attr}({name})"] = name in params
     assert read, "no argument names found: the parse of tracing._WORK is stale"
     assert all(read.values()), read
+
+
+def _write_trace(path: Path, times, pops) -> str:
+    rows = (",".join(f"{v:.9g}" for v in (t, *p)) for t, p in zip(times * 1e6, pops))
+    path.write_text("t_us,p_p2,p_p1,p_0,p_m1,p_m2\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_fits_call_every_name_traced_on_analysis(tmp_path, monkeypatch):
+    spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=1)
+    rabi_t = np.linspace(0.0, 30e-6, 60)
+    ramsey_t = np.linspace(0.0, 60e-6, 301)
+    echo_t = np.linspace(1e-6, 220e-6, 60)
+    traces = {
+        "fit-rabi": (
+            rabi_t,
+            fit.rabi_model_curve(rabi_t, 2 * math.pi * 95e3, np.array([0.97, 0.03, 0, 0, 0])),
+            "",
+        ),
+        "fit-ramsey": (
+            ramsey_t,
+            ensemble_average_curve(
+                FieldConfig(b0=179e-7, b1=4.5e-4), spec, SequenceKind.RAMSEY, ramsey_t
+            ),
+            "b0: 179 mG\nsigma_z0: 0.73 mm\nt_axial: 0.2 mK\n",
+        ),
+        "fit-echo": (
+            echo_t,
+            ensemble_average_curve(
+                FieldConfig(b0=0.0, b1=13.5e-4), spec, SequenceKind.ECHO, echo_t, echo_t
+            ),
+            "sigma_z0: 0.73 mm\nt_axial: 0.2 mK\n",
+        ),
+    }
+    traced = [
+        (module_name, attr)
+        for module_name, attr, _, workloads in tracing.WRAPPED
+        if "analysis" in workloads
+    ]
+    calls = Counter()
+    for module_name, attr in traced:
+        module = importlib.import_module(module_name)
+
+        def counted(*args, _fn=getattr(module, attr), _name=attr, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    fit._basis_coefficients.cache_clear()  # so that the harmonics are built again
+    for scenario, (times, pops, keys) in traces.items():
+        data = _write_trace(tmp_path / f"{scenario}.csv", times, pops)
+        config = tmp_path / f"{scenario}.yaml"
+        config.write_text(f"scenario: {scenario}\ndata: {data}\n{keys}", encoding="utf-8")
+        assert cli.main(["run", str(config), "--out", str(tmp_path / f"{scenario}.out")]) == 0
+    assert [attr for _, attr in traced if calls[attr] == 0] == []

@@ -313,6 +313,28 @@ def test_fit_echo_requires_single_anchor(tmp_path, capsys):
     assert "t_axial" in capsys.readouterr().err
 
 
+ECHO_TRACE = (
+    "tau_tilde_us,p_p2,p_p1,p_0,p_m1,p_m2\n"
+    "{t0},1,0,0,0,0\n10,0.9,0.05,0.05,0,0\n20,0.5,0.2,0.1,0.1,{p}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "t0, p, named",
+    [("-100", "0.1", "tau1"), ("nan", "0.1", "times"), ("1", "inf", "populations")],
+)
+def test_fit_echo_bad_trace_exits_one(tmp_path, capsys, t0, p, named):
+    data_csv = tmp_path / "echo.csv"
+    data_csv.write_text(ECHO_TRACE.format(t0=t0, p=p), encoding="utf-8")
+    cfg = write_config(
+        tmp_path,
+        "fit.yaml",
+        f"scenario: fit-echo\ndata: {data_csv}\nsigma_z0: 0.73 mm\nt_axial: 0.2 mK\n",
+    )
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_fit_missing_data_file_exits_one(tmp_path, capsys):
     cfg = write_config(
         tmp_path, "fit.yaml", "scenario: fit-rabi\ndata: /nonexistent/path.csv\n"

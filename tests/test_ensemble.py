@@ -348,6 +348,23 @@ def test_phase_harmonics_match_fft_of_the_sequence(kind):
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
 
+def test_harmonic_sum_matches_per_harmonic_loop():
+    rng = np.random.default_rng(11)
+    coeffs = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+    a = rng.uniform(-30, 30, 50)
+
+    def loop(var):
+        out = np.broadcast_to(coeffs[0].real, (a.size, 7)).copy()
+        for k in range(1, 5):
+            damp = np.exp(-0.5 * k * k * np.broadcast_to(var, a.shape))
+            out += 2 * damp[:, None] * (coeffs[k] * np.exp(1j * k * a)[:, None]).real
+        return out
+
+    for var in (rng.uniform(0, 3, a.size), 0.0):
+        got = ensemble._harmonic_sum(a, var, coeffs)
+        np.testing.assert_allclose(got, loop(var), rtol=0, atol=1e-14)
+
+
 def per_state_sum(weights, curve_of):
     return sum(w * curve_of(zeeman_state(2, m)) for w, m in zip(weights, ZEEMAN_M) if w)
 

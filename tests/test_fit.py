@@ -38,6 +38,18 @@ def test_timeseries_validation():
         TimeSeries(times=np.array([0.0, 1.0]), populations=np.full((2, 5), 0.5))
     with pytest.raises(ValueError):
         TimeSeries(times=np.array([0.0, 1.0]), populations=np.zeros((2, 5)), weights=np.array([-1.0, 1.0]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^weights must be finite"):
+            TimeSeries(times=np.array([0.0, 1.0]), populations=np.zeros((2, 5)), weights=np.array([bad, 1.0]))
+
+
+@pytest.mark.parametrize("field", ["times", "populations"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_timeseries_rejects_non_finite_input(field, bad):
+    arrays = {"times": np.array([0.0, 1e-6, 2e-6]), "populations": np.full((3, 5), 0.2)}
+    arrays[field][1] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        TimeSeries(**arrays)
 
 
 def test_timeseries_rejects_all_zero_weights():
@@ -74,11 +86,11 @@ def test_rabi_roundtrip_noisy():
 def test_rabi_cosine_basis_matches_closed_forms():
     theta = np.linspace(0.0, 8000.0, 100_001)
     closed = np.stack([rotation_population_curve(m, theta) for m in ZEEMAN_M], axis=-1)
-    assert np.max(np.abs(fit._rabi_basis(theta) - closed)) < 1e-12
+    assert np.max(np.abs(fit._harmonic_basis(None, theta, 0) - closed)) < 1e-12
 
 
 def test_rabi_cosine_constant_term_of_plus2_is_equilibrium():
-    constant = fit._rabi_cosine_coefficients()[0].reshape(5, len(ZEEMAN_M))[:, 0]
+    constant = fit._basis_coefficients(None)[0].reshape(5, len(ZEEMAN_M))[:, 0]
     expected = equilibrium_populations(build_spin_system(2)).p
     np.testing.assert_allclose(constant, expected, rtol=0, atol=1e-15)
 
@@ -94,7 +106,7 @@ def test_rabi_fit_at_benchmark_size_builds_basis_once(monkeypatch):
         return rotation_population_curve(m, theta)
 
     monkeypatch.setattr(fit, "rotation_population_curve", counted)
-    fit._rabi_cosine_coefficients.cache_clear()
+    fit._basis_coefficients.cache_clear()
     result = fit_rabi(data)
     # the closed forms are sampled once per basis state, not per evaluation
     assert len(calls) <= 5
@@ -214,6 +226,17 @@ def test_echo_requires_one_anchor():
     data = synthetic_echo(13.5, 0.2e-3, n=10)
     with pytest.raises(ValueError):
         fit_echo(data, {"sigma_z0": 0.73e-3})
+    # both anchors would report a b1 and a t_axial that disagree with them
+    with pytest.raises(ValueError, match="exactly one of t_axial or b1"):
+        fit_echo(data, {"sigma_z0": 0.73e-3, "t_axial": 0.2e-3, "b1": 1 * MG_PER_MM})
+
+
+def test_echo_rejects_negative_delay():
+    # the tau^4 model folds a negative delay onto a positive one
+    data = synthetic_echo(13.5, 0.2e-3)
+    shifted = TimeSeries(times=data.times - 100e-6, populations=data.populations)
+    with pytest.raises(ValueError, match="^tau1 must be >= 0"):
+        fit_echo(shifted, {"sigma_z0": 0.73e-3, "t_axial": 0.2e-3})
 
 
 def test_echo_cold_limit_not_identifiable():
