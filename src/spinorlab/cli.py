@@ -346,7 +346,7 @@ def _run_fit_ramsey(params: dict) -> RunOutput:
 
 def _run_fit_echo(params: dict) -> RunOutput:
     data = _load_timeseries("data", params["data"])
-    known = {k: params[k] for k in ("sigma_z0", "t_axial", "b1") if params[k] is not None}
+    known = {k: params[k] for k in ("t_axial", "b1") if params[k] is not None}
     result = fit.fit_echo(data, known)
     extra = {"compound_per_s4": result.params.get("compound", float("nan"))}
     if "b1" in result.params:
@@ -465,9 +465,10 @@ def _scenarios() -> dict[str, Scenario]:
         ),
         Scenario(
             "fit-echo",
-            {"data": parse_path, "sigma_z0": parse_length},
+            {"data": parse_path},
             {
-                "b0": (parse_field, 0.0),
+                # sigma_z0 cancels at tau1 = tau2: accepted, never read
+                "sigma_z0": (parse_length, None),
                 "t_axial": (parse_temperature, None),
                 "b1": (parse_gradient, None),
             },

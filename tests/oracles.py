@@ -2,11 +2,14 @@
 
 These deliberately avoid the implementation paths they check: the
 Clebsch-Gordan oracle builds coupled states by ladder operators and
-null-space extraction in the product basis (no Racah sum), and the phase
-average oracle integrates over an explicit phase grid.
+null-space extraction in the product basis (no Racah sum), the phase
+average oracle integrates over an explicit phase grid, and the RF oracle
+integrates the Schrodinger equation with an adaptive Runge-Kutta method
+(no Magnus steps, no period).
 """
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 
 def _single_ops(j: float):
@@ -73,3 +76,33 @@ def uniform_phase_average(dx: np.ndarray, m_values: np.ndarray, initial: np.ndar
     phases = np.exp(-1j * np.multiply.outer(phis, m_values))
     amps = (phases * v[None, :]) @ dx.T
     return np.mean(np.abs(amps) ** 2, axis=0)
+
+
+def rf_populations(frame: str, w0, w, rabi, shifts, columns, times):
+    """|psi(t)|^2 of every amplitude column of ``columns`` (dim, k) under
+    i dpsi/dt = H(t) psi, shape (times.size, dim, k), by adaptive DOP853
+    (rtol 1e-12).  H is written out here for ``frame`` in "lab-full",
+    "rot-full" and "lab-light-shift", with ``shifts`` the static diagonal of
+    the last; the spin matrices come from the ladder operators above."""
+    dim, k = columns.shape
+    jp, jm, jz = _single_ops((dim - 1) / 2)
+    jx, jy = (jp + jm) / 2, (jp - jm) / 2j
+    static = (w0 - w) * jz if frame == "rot-full" else w0 * jz
+    if frame == "lab-light-shift":
+        static = static + np.diag(shifts)
+
+    def hamiltonian(t):
+        if frame == "rot-full":
+            return static + rabi / 2 * ((1 + np.cos(2 * w * t)) * jx - np.sin(2 * w * t) * jy)
+        return static + rabi * np.cos(w * t) * jx
+
+    def rhs(t, y):
+        return (-1j * hamiltonian(t) @ y.reshape(dim, k)).ravel()
+
+    unique, inverse = np.unique(times, return_inverse=True)
+    sol = solve_ivp(
+        rhs, (unique[0], unique[-1]), columns.astype(complex).ravel(), method="DOP853",
+        t_eval=unique, rtol=1e-12, atol=1e-13,
+    )
+    assert sol.success, sol.message
+    return np.abs(sol.y.T.reshape(-1, dim, k)[inverse]) ** 2

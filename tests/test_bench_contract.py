@@ -1,5 +1,6 @@
 """The names the benchmark's tracer wraps must exist in spinorlab, and the
-fits must call the ones it traces on the analysis workload.
+scenarios must call the ones it traces on the preparation and analysis
+workloads.
 
 ``spinorbench/tracing.py`` wraps functions by (module, attribute) and reads
 some of their arguments by name.  A refactoring that renames one of them,
@@ -112,10 +113,32 @@ def test_fits_call_every_name_traced_on_analysis(tmp_path, monkeypatch):
             "sigma_z0: 0.73 mm\nt_axial: 0.2 mK\n",
         ),
     }
+    configs = {}
+    for scenario, (times, pops, keys) in traces.items():
+        data = _write_trace(tmp_path / f"{scenario}.csv", times, pops)
+        configs[scenario] = f"scenario: {scenario}\ndata: {data}\n{keys}"
+    fit._basis_coefficients.cache_clear()  # so that the harmonics are built again
+    assert _names_not_called("analysis", configs, tmp_path, monkeypatch) == []
+
+
+def test_scenarios_call_every_name_traced_on_preparation(tmp_path, monkeypatch):
+    pulses = "omega_peak: 40 MHz\ntau_pulse: 0.55 us\ndelta_t: 0.7 us\ndetuning: 20 MHz\n"
+    configs = {
+        "rabi-lab": "scenario: rabi-lab\nomega0: 800 kHz\nomega_rabi: 95 kHz\n"
+        "duration: 2 us\npoints: 20\n",
+        "stirap": "scenario: stirap\npoints: 20\n" + pulses,
+        "fstirap-scan": "scenario: fstirap-scan\neta_max: 1.0\npoints: 2\n" + pulses,
+    }
+    assert _names_not_called("preparation", configs, tmp_path, monkeypatch) == []
+
+
+def _names_not_called(workload: str, configs: dict, tmp_path, monkeypatch) -> list[str]:
+    """Run ``cli.main`` on every config text and return the names WRAPPED
+    lists for ``workload`` that no run called, as module.attribute."""
     traced = [
         (module_name, attr)
         for module_name, attr, _, workloads in tracing.WRAPPED
-        if "analysis" in workloads
+        if workload in workloads
     ]
     calls = Counter()
     for module_name, attr in traced:
@@ -126,10 +149,8 @@ def test_fits_call_every_name_traced_on_analysis(tmp_path, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, counted)
-    fit._basis_coefficients.cache_clear()  # so that the harmonics are built again
-    for scenario, (times, pops, keys) in traces.items():
-        data = _write_trace(tmp_path / f"{scenario}.csv", times, pops)
+    for scenario, text in configs.items():
         config = tmp_path / f"{scenario}.yaml"
-        config.write_text(f"scenario: {scenario}\ndata: {data}\n{keys}", encoding="utf-8")
+        config.write_text(text, encoding="utf-8")
         assert cli.main(["run", str(config), "--out", str(tmp_path / f"{scenario}.out")]) == 0
-    assert [attr for _, attr in traced if calls[attr] == 0] == []
+    return [f"{module_name}.{attr}" for module_name, attr in traced if calls[attr] == 0]

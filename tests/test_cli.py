@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinorlab import cli
+from spinorlab import cli, fit
 from spinorlab.stirap import fstirap_populations_closed
 
 TWO_PI = 2 * math.pi
@@ -333,6 +333,25 @@ def test_fit_echo_bad_trace_exits_one(tmp_path, capsys, t0, p, named):
     )
     assert run_cli(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 1
     assert named in capsys.readouterr().err
+
+
+def test_fit_echo_needs_no_sigma_z0_and_rejects_b0(tmp_path, capsys):
+    tau = np.linspace(1e-6, 220e-6, 60)
+    pops = fit.echo_model_curve(tau, 3e17, np.array([0.8, 0.0, 0.2, 0.0, 0.0]))
+    rows = "\n".join(",".join(f"{v:.9g}" for v in (t * 1e6, *p)) for t, p in zip(tau, pops))
+    data_csv = tmp_path / "echo.csv"
+    data_csv.write_text(f"tau_tilde_us,p_p2,p_p1,p_0,p_m1,p_m2\n{rows}\n", encoding="utf-8")
+    base = f"scenario: fit-echo\ndata: {data_csv}\nt_axial: 0.2 mK\n"
+    outputs = []
+    for name, extra in (("bare", ""), ("sigma", "sigma_z0: 0.73 mm\n")):
+        cfg, out = write_config(tmp_path, f"{name}.yaml", base + extra), tmp_path / f"{name}.csv"
+        assert run_cli(["run", cfg, "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1]  # sigma_z0 cancels at tau1 = tau2
+    assert "converged = true" in outputs[0][0]
+    cfg = write_config(tmp_path, "b0.yaml", base + "b0: 179 mG\n")
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    assert "b0: unknown key" in capsys.readouterr().err
 
 
 def test_fit_missing_data_file_exits_one(tmp_path, capsys):

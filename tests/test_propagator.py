@@ -1,10 +1,11 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import ladder_cg_table
+from oracles import ladder_cg_table, rf_populations
 from spinorlab import propagator
 from spinorlab.core import ZEEMAN_M, Populations, build_spin_system, populations, zeeman_state
 from spinorlab.propagator import (
@@ -21,7 +22,7 @@ from spinorlab.propagator import (
     lightshift_vector,
     rotating_frame_state,
 )
-from spinorlab.rotations import two_level_population
+from spinorlab.rotations import rotation_population_curve, two_level_population
 
 TWO_PI = 2 * math.pi
 SYS2 = build_spin_system(2)
@@ -134,17 +135,104 @@ def test_step_halving_convergence():
 
 
 def test_unreachable_tol_names_last_step_and_change():
-    # the fastest ROT_RWA scale is Omega, so the base step is
-    # 0.01 * 2 pi / Omega and the 14th halving ends at base / 2**14; a spin
-    # 1/2 over one base step keeps the 2**15 - 1 steps under a second
-    spec = HamiltonianSpec(HamiltonianKind.ROT_RWA, resonant(242, 160))
-    base = 0.01 / 160e3
+    # the fastest LAB_FULL scale at 242 kHz is the drive, so a period starts
+    # at 100 steps; 100 * 2**9 = 51,200 is the last count within the budget
+    spec = HamiltonianSpec(HamiltonianKind.LAB_FULL, resonant(242, 160))
     with pytest.raises(NumericalError) as info:
-        evolve_state(zeeman_state(0.5, 0.5), spec, 0.0, base, tol=1e-30)
+        evolve_state(zeeman_state(2, 2), spec, 0.0, 10e-6, tol=1e-30)
     message = str(info.value)
-    assert f"step {base / 2**14:.3g} s" in message
+    assert f"step budget of {propagator._STEP_BUDGET} steps per period" in message
+    assert "not converged at 51200 steps per period" in message
     change = re.search(r"last change (\S+) against tol 1e-30", message)
     assert change and float(change.group(1)) >= 1e-30
+
+
+# frame of the oracle and the period of H in units of pi / w
+ORACLE_FRAMES = {
+    HamiltonianKind.LAB_FULL: ("lab-full", 2),
+    HamiltonianKind.ROT_FULL: ("rot-full", 1),
+    HamiltonianKind.LAB_LIGHT_SHIFT: ("lab-light-shift", 2),
+}
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.37e-6])
+@pytest.mark.parametrize("kind", list(ORACLE_FRAMES))
+def test_one_period_rule_matches_runge_kutta_oracle(kind, t0):
+    shifts = None
+    if kind is HamiltonianKind.LAB_LIGHT_SHIFT:
+        shifts = lightshift_from_scale(TWO_PI * 0.5e6)
+    cfg = FieldConfig(omega0=TWO_PI * 208e3, omega_rf=TWO_PI * 200e3, omega_rabi=TWO_PI * 95e3)
+    spec = HamiltonianSpec(kind, cfg, light_shifts=shifts)
+    frame, turns = ORACLE_FRAMES[kind]
+    period = turns * math.pi / cfg.omega_rf
+    multiples = t0 + period * np.arange(1, 4)
+    times = np.sort(
+        np.concatenate(
+            [
+                np.linspace(t0, t0 + 3.4 * period, 23),  # a non-integer number of periods
+                multiples,
+                np.nextafter(multiples, 0),
+                np.nextafter(multiples, np.inf),
+                [t0, t0 + 1.5 * period, t0 + 1.5 * period],  # repeated times
+            ]
+        )
+    )
+    weights = np.array([0.5, 0.3, 0.0, 0.2, 0.0])
+    columns = np.eye(5)[:, weights > 0]
+    oracle = rf_populations(frame, cfg.resonance, cfg.omega_rf, cfg.rabi, shifts, columns, times)
+    expected = oracle @ weights[weights > 0]
+    got = evolve_populations(Populations(weights), spec, times, tol=1e-10)
+    assert np.max(np.abs(got - expected)) < 1e-8
+    short = times < t0 + 0.6 * period  # a trace shorter than a period is its own window
+    got = evolve_populations(Populations(weights), spec, times[short], tol=1e-10)
+    assert np.max(np.abs(got - expected[short])) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "kind, cfg, rate",
+    [
+        # H = (Omega/2) Jx turns by theta = Omega t / 2
+        (HamiltonianKind.ROT_RWA, resonant(800, 95), 0.5),
+        # without a drive frequency the lab frame is static: H = Omega Jx
+        (HamiltonianKind.LAB_FULL, FieldConfig(omega0=0.0, omega_rabi=TWO_PI * 95e3), 1.0),
+    ],
+)
+def test_static_frames_match_closed_form_rotation(kind, cfg, rate):
+    t0 = 2.5e-6
+    times = t0 + np.sort(np.random.default_rng(5).uniform(0.0, 40e-6, 50))
+    times[0] = t0
+    weights = np.array([0.1, 0.4, 0.2, 0.0, 0.3])
+    got = evolve_populations(Populations(weights), HamiltonianSpec(kind, cfg), times)
+    theta = rate * cfg.rabi * (times - t0)
+    closed = sum(w * rotation_population_curve(m, theta) for w, m in zip(weights, ZEEMAN_M))
+    assert np.max(np.abs(got - closed)) < 1e-12
+
+
+def test_light_shift_trace_keeps_temporaries_bounded(monkeypatch):
+    # the two-level shape converges at 1,500 steps per period; whole-period
+    # (steps, 5, 5) temporaries peak at about 4.7 MB
+    spec = HamiltonianSpec(
+        HamiltonianKind.LAB_LIGHT_SHIFT,
+        resonant(800, 95),
+        light_shifts=lightshift_from_scale(TWO_PI * 1e6),
+    )
+    times = np.linspace(0.0, 12e-6, 120)
+    steps = []
+    propagate = propagator._propagate
+
+    def counting(*args):
+        steps.append(args[-1])
+        return propagate(*args)
+
+    monkeypatch.setattr(propagator, "_propagate", counting)
+    tracemalloc.start()
+    try:
+        evolve_populations(zeeman_state(2, 2), spec, times, tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps == [750, 1500]
+    assert peak < 2e6
 
 
 def test_zero_hamiltonian_is_static():
