@@ -28,7 +28,7 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -54,65 +54,58 @@ class ConfigError(Exception):
 
 _NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 
-_FREQ_UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6}
-_TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6}
-_FIELD_UNITS = {"G": 1e-4, "mG": 1e-7}
-_GRADIENT_UNITS = {"G/mm": 1e-1, "mG/mm": 1e-4, "G/m": 1e-4, "mG/m": 1e-7}
-_LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6}
-_TEMPERATURE_UNITS = {"K": 1.0, "mK": 1e-3, "uK": 1e-6, "µK": 1e-6}
+_UNITS = {
+    "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6},
+    "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6},
+    "field": {"G": 1e-4, "mG": 1e-7},
+    "gradient": {"G/mm": 1e-1, "mG/mm": 1e-4, "G/m": 1e-4, "mG/m": 1e-7},
+    "length": {"m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6},
+    "temperature": {"K": 1.0, "mK": 1e-3, "uK": 1e-6, "µK": 1e-6},
+}
 
 
-def _unit_value(key: str, raw, units: dict[str, float], kind: str) -> float:
-    if not isinstance(raw, str):
-        raise ConfigError(f"{key}: expected a string with a {kind} unit suffix, got {raw!r}")
-    match = re.fullmatch(rf"\s*({_NUMBER})\s*(\S+)\s*", raw)
-    if not match:
-        raise ConfigError(f"{key}: cannot parse {raw!r} as '<number> <unit>'")
-    number, unit = match.groups()
-    if unit not in units:
-        allowed = ", ".join(sorted(units))
-        raise ConfigError(f"{key}: unknown {kind} unit {unit!r} (allowed: {allowed})")
-    value = float(number) * units[unit]
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: {raw!r} is not a finite {kind}")
-    return value
+def _unit_parser(kind: str, scale: float = 1.0):
+    """Parser of '<number> <unit>' strings of ``kind``: the SI value, checked
+    finite, times ``scale``."""
+    units = _UNITS[kind]
+
+    def parse(key: str, raw) -> float:
+        if not isinstance(raw, str):
+            raise ConfigError(f"{key}: expected a string with a {kind} unit suffix, got {raw!r}")
+        match = re.fullmatch(rf"\s*({_NUMBER})\s*(\S+)\s*", raw)
+        if not match:
+            raise ConfigError(f"{key}: cannot parse {raw!r} as '<number> <unit>'")
+        number, unit = match.groups()
+        if unit not in units:
+            allowed = ", ".join(sorted(units))
+            raise ConfigError(f"{key}: unknown {kind} unit {unit!r} (allowed: {allowed})")
+        value = float(number) * units[unit]
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: {raw!r} is not a finite {kind}")
+        return scale * value
+
+    return parse
 
 
-def parse_frequency(key: str, raw) -> float:
-    """'800 kHz' -> 2*pi*800e3 rad/s."""
-    return TWO_PI * _unit_value(key, raw, _FREQ_UNITS, "frequency")
+parse_frequency = _unit_parser("frequency", TWO_PI)  # '800 kHz' -> 2*pi*800e3 rad/s
+parse_time = _unit_parser("time")
+parse_field = _unit_parser("field")
+parse_gradient = _unit_parser("gradient")
+parse_length = _unit_parser("length")
+parse_temperature = _unit_parser("temperature")
 
 
-def parse_time(key: str, raw) -> float:
-    return _unit_value(key, raw, _TIME_UNITS, "time")
+def _integer_parser(least: int, kind: str):
+    def parse(key: str, raw) -> int:
+        if isinstance(raw, bool) or not isinstance(raw, int) or raw < least:
+            raise ConfigError(f"{key}: expected a {kind} integer, got {raw!r}")
+        return raw
+
+    return parse
 
 
-def parse_field(key: str, raw) -> float:
-    return _unit_value(key, raw, _FIELD_UNITS, "field")
-
-
-def parse_gradient(key: str, raw) -> float:
-    return _unit_value(key, raw, _GRADIENT_UNITS, "gradient")
-
-
-def parse_length(key: str, raw) -> float:
-    return _unit_value(key, raw, _LENGTH_UNITS, "length")
-
-
-def parse_temperature(key: str, raw) -> float:
-    return _unit_value(key, raw, _TEMPERATURE_UNITS, "temperature")
-
-
-def parse_count(key: str, raw) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
-        raise ConfigError(f"{key}: expected a positive integer, got {raw!r}")
-    return raw
-
-
-def parse_seed(key: str, raw) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
-        raise ConfigError(f"{key}: expected a non-negative integer, got {raw!r}")
-    return raw
+parse_count = _integer_parser(1, "positive")
+parse_seed = _integer_parser(0, "non-negative")
 
 
 def parse_number(key: str, raw) -> float:
@@ -131,10 +124,8 @@ def parse_fraction(key: str, raw) -> float:
 
 
 def parse_method(key: str, raw) -> ensemble.AverageMethod:
-    if raw == "analytic":
-        return ensemble.AverageMethod.ANALYTIC
-    if raw == "montecarlo":
-        return ensemble.AverageMethod.MONTE_CARLO
+    if raw in ("analytic", "montecarlo"):
+        return ensemble.AverageMethod(raw)
     raise ConfigError(f"{key}: must be 'analytic' or 'montecarlo', got {raw!r}")
 
 
@@ -142,28 +133,6 @@ def parse_path(key: str, raw) -> str:
     if not isinstance(raw, str) or not raw:
         raise ConfigError(f"{key}: expected a file path, got {raw!r}")
     return raw
-
-
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    required: dict
-    optional: dict  # key -> (parser, default)
-    runner: object = field(compare=False)
-
-    def parse(self, raw: dict) -> dict:
-        known = set(self.required) | set(self.optional)
-        for key in sorted(raw):
-            if key != "scenario" and key not in known:
-                raise ConfigError(f"{key}: unknown key for scenario '{self.name}'")
-        params = {}
-        for key, parser in self.required.items():
-            if key not in raw:
-                raise ConfigError(f"{key}: required key missing for scenario '{self.name}'")
-            params[key] = parser(key, raw[key])
-        for key, (parser, default) in self.optional.items():
-            params[key] = parser(key, raw[key]) if key in raw else default
-        return params
 
 
 @dataclass(frozen=True)
@@ -187,13 +156,10 @@ def _initial_mixture(params: dict) -> Populations:
 
 
 def _run_rabi(params: dict, kind: HamiltonianKind) -> RunOutput:
-    omega0 = params["omega0"]
     omega_rf = params.get("omega_rf")
-    cfg = FieldConfig(
-        omega0=omega0,
-        omega_rf=omega_rf if omega_rf is not None else omega0,
-        omega_rabi=params["omega_rabi"],
-    )
+    if omega_rf is None:
+        omega_rf = params["omega0"]
+    cfg = FieldConfig(omega0=params["omega0"], omega_rf=omega_rf, omega_rabi=params["omega_rabi"])
     shifts = None
     if kind is HamiltonianKind.LAB_LIGHT_SHIFT:
         shifts = lightshift_from_scale(params["shift_scale"])
@@ -205,14 +171,9 @@ def _run_rabi(params: dict, kind: HamiltonianKind) -> RunOutput:
 
 
 def _stirap_params(params: dict, eta: float) -> stirap.StirapParams:
+    keys = ("tau_pulse", "delta_t", "detuning", "two_photon_detuning", "gamma_e")
     return stirap.StirapParams(
-        omega0_peak=params["omega_peak"],
-        tau_pulse=params["tau_pulse"],
-        delta_t=params["delta_t"],
-        eta=eta,
-        detuning=params["detuning"],
-        two_photon_detuning=params["two_photon_detuning"],
-        gamma_e=params["gamma_e"],
+        omega0_peak=params["omega_peak"], eta=eta, **{k: params[k] for k in keys}
     )
 
 
@@ -234,16 +195,19 @@ def _run_fstirap_scan(params: dict) -> RunOutput:
     return RunOutput(["eta", *P_COLUMNS, "survival"], np.array(rows))
 
 
+def _field_and_spec(params: dict, b1: float, samples: int = 1, seed: int = 0):
+    """FieldConfig and EnsembleSpec of the b0, sigma_z0 and t_axial keys."""
+    cfg = FieldConfig(b0=params["b0"], b1=b1)
+    spec = ensemble.EnsembleSpec(
+        sigma_z0=params["sigma_z0"], t_axial=params["t_axial"], n_samples=samples, seed=seed
+    )
+    return cfg, spec
+
+
 def _run_ensemble(params: dict, column: str, tau1, tau2=None) -> RunOutput:
     """Ramsey (no tau2) or echo curve of the p0_* mixture and its envelope,
     against the varied delay in us under ``column``."""
-    cfg = FieldConfig(b0=params["b0"], b1=params["b1"])
-    spec = ensemble.EnsembleSpec(
-        sigma_z0=params["sigma_z0"],
-        t_axial=params["t_axial"],
-        n_samples=params["samples"],
-        seed=params["seed"],
-    )
+    cfg, spec = _field_and_spec(params, params["b1"], params["samples"], params["seed"])
     if tau2 is None:
         kind, delay = ensemble.SequenceKind.RAMSEY, tau1
         env = ensemble.ramsey_envelope(cfg, spec, tau1)
@@ -275,94 +239,77 @@ def _load_timeseries(key: str, path: str) -> fit.TimeSeries:
             header = fh.readline().strip()
             delim = "\t" if "\t" in header else ","
             names = header.split(delim)
-            data = np.loadtxt(fh, delimiter=delim)
+            data = np.atleast_2d(np.loadtxt(fh, delimiter=delim))
     except OSError as exc:
         raise ConfigError(f"{key}: cannot read data file {path!r} ({exc})") from exc
     except ValueError as exc:
         raise ConfigError(f"{key}: malformed CSV in {path!r} ({exc})") from exc
-    if data.ndim == 1:
-        data = data[None, :]
     if len(names) < 6 or data.shape[1] < 6:
         raise ConfigError(f"{key}: need a time column plus five population columns in {path!r}")
     return fit.TimeSeries(times=data[:, 0] * 1e-6, populations=data[:, 1:6])
 
 
-def _fit_stdout(result: fit.FitResult, extra: dict) -> tuple:
-    lines = []
-    for name, value in extra.items():
-        lines.append(f"{name} = {value:.9g}")
+def _fit_output(column: str, data, result, extra: dict, model) -> RunOutput:
+    """The fitted curve model(weights) against ``column`` (zeros unless the
+    fit converged) and the stdout lines: ``extra``, the five initial
+    populations (NaN when the fit reports none), then the fit's status."""
+    weights = np.array([result.params.get(k, float("nan")) for k in fit._POP_KEYS])
+    curve = model(weights) if result.converged else np.zeros((data.n, 5))
+    lines = [f"{name} = {value:.9g}" for name, value in extra.items()]
+    lines += [f"{name} = {value:.9g}" for name, value in zip(fit._POP_KEYS, weights)]
     lines.append(f"residual_rms = {result.residual_rms:.9g}")
     lines.append(f"converged = {str(result.converged).lower()}")
     lines.append(f"n_evals = {result.n_evals}")
     if result.diagnostic:
         lines.append(f"diagnostic = {result.diagnostic}")
-    return tuple(lines)
-
-
-def _pop_params(result: fit.FitResult) -> dict:
-    return {k: result.params.get(k, float("nan")) for k in fit._POP_KEYS}
+    rows = np.column_stack([data.times * 1e6, curve])
+    return RunOutput([column, *P_COLUMNS], rows, tuple(lines))
 
 
 def _run_fit_rabi(params: dict) -> RunOutput:
     data = _load_timeseries("data", params["data"])
-    guess = {}
-    if params["omega_guess"] is not None:
-        guess["omega"] = params["omega_guess"]
-    result = fit.fit_rabi(data, initial_guess=guess or None)
-    if result.converged:
-        weights = np.array([result.params[k] for k in fit._POP_KEYS])
-        curve = fit.rabi_model_curve(data.times, result.params["omega"], weights)
-    else:
-        curve = np.zeros((data.n, 5))
-    rows = np.column_stack([data.times * 1e6, curve])
-    extra = {"omega_khz": result.params.get("omega", float("nan")) / (TWO_PI * 1e3)}
-    extra.update(_pop_params(result))
-    return RunOutput(["t_us", *P_COLUMNS], rows, _fit_stdout(result, extra))
+    result = fit.fit_rabi(data, omega_guess=params["omega_guess"])
+    omega = result.params.get("omega", float("nan"))
+    extra = {"omega_khz": omega / (TWO_PI * 1e3)}
+    return _fit_output(
+        "t_us", data, result, extra, lambda w: fit.rabi_model_curve(data.times, omega, w)
+    )
 
 
 def _run_fit_ramsey(params: dict) -> RunOutput:
     data = _load_timeseries("data", params["data"])
-    known = {
-        "b0": params["b0"],
-        "sigma_z0": params["sigma_z0"],
-        "t_axial": params["t_axial"],
-    }
-    result = fit.fit_ramsey(data, known)
-    extra = {"b1_mg_per_mm": result.params.get("b1", float("nan")) / 1e-4}
-    extra.update(_pop_params(result))
-    curve = np.zeros((data.n, 5))
-    if result.converged:
-        cfg = FieldConfig(b0=params["b0"], b1=result.params["b1"])
-        spec = ensemble.EnsembleSpec(
-            sigma_z0=params["sigma_z0"], t_axial=params["t_axial"], n_samples=1
-        )
-        initial = Populations([result.params[k] for k in fit._POP_KEYS])
-        curve = ensemble.ensemble_average_curve(
-            cfg, spec, ensemble.SequenceKind.RAMSEY, data.times, initial=initial
-        )
-    rows = np.column_stack([data.times * 1e6, curve])
-    return RunOutput(["tau1_us", *P_COLUMNS], rows, _fit_stdout(result, extra))
+    result = fit.fit_ramsey(data, {k: params[k] for k in ("b0", "sigma_z0", "t_axial")})
+    b1 = result.params.get("b1", float("nan"))
+    return _fit_output(
+        "tau1_us",
+        data,
+        result,
+        {"b1_mg_per_mm": b1 / 1e-4},
+        lambda w: ensemble.ensemble_average_curve(
+            *_field_and_spec(params, b1),
+            ensemble.SequenceKind.RAMSEY,
+            data.times,
+            initial=Populations(w),
+        ),
+    )
 
 
 def _run_fit_echo(params: dict) -> RunOutput:
     data = _load_timeseries("data", params["data"])
     known = {k: params[k] for k in ("t_axial", "b1") if params[k] is not None}
     result = fit.fit_echo(data, known)
-    extra = {"compound_per_s4": result.params.get("compound", float("nan"))}
+    compound = result.params.get("compound", float("nan"))
+    extra = {"compound_per_s4": compound}
     if "b1" in result.params:
         extra["b1_mg_per_mm"] = result.params["b1"] / 1e-4
     if "t_axial" in result.params:
         extra["t_axial_mk"] = result.params["t_axial"] / 1e-3
-    extra.update(_pop_params(result))
-    curve = np.zeros((data.n, 5))
-    if result.converged:
-        weights = np.array([result.params[k] for k in fit._POP_KEYS])
-        curve = fit.echo_model_curve(data.times, result.params["compound"], weights)
-    rows = np.column_stack([data.times * 1e6, curve])
-    return RunOutput(["tau_tilde_us", *P_COLUMNS], rows, _fit_stdout(result, extra))
+    return _fit_output(
+        "tau_tilde_us", data, result, extra, lambda w: fit.echo_model_curve(data.times, compound, w)
+    )
 
 
-_RABI_KEYS = {
+_RABI_REQ = {
     "omega0": parse_frequency,
     "omega_rabi": parse_frequency,
     "duration": parse_time,
@@ -395,90 +342,54 @@ _ENSEMBLE_OPT = {
     **_POP_OPTIONALS,
 }
 
-
-def _scenarios() -> dict[str, Scenario]:
-    entries = [
-        Scenario(
-            "rabi",
-            _RABI_KEYS,
-            _RABI_OPT,
-            lambda p: _run_rabi(p, HamiltonianKind.ROT_RWA),
-        ),
-        Scenario(
-            "rabi-lab",
-            _RABI_KEYS,
-            _RABI_OPT,
-            lambda p: _run_rabi(p, HamiltonianKind.LAB_FULL),
-        ),
-        Scenario(
-            "two-level",
-            _RABI_KEYS,
-            {"shift_scale": (parse_frequency, TWO_PI * 1e6), **_POP_OPTIONALS},
-            lambda p: _run_rabi(p, HamiltonianKind.LAB_LIGHT_SHIFT),
-        ),
-        Scenario(
-            "stirap",
-            _STIRAP_REQ,
-            {"eta": (parse_number, 0.0), "points": (parse_count, 200), **_STIRAP_OPT},
-            _run_stirap,
-        ),
-        Scenario(
-            "fstirap-scan",
-            {**_STIRAP_REQ, "eta_max": parse_number},
-            {"eta_min": (parse_number, 0.0), "points": (parse_count, 25), **_STIRAP_OPT},
-            _run_fstirap_scan,
-        ),
-        Scenario(
-            "ramsey",
-            {**_ENSEMBLE_REQ, "tau_max": parse_time},
-            dict(_ENSEMBLE_OPT),
-            _run_ramsey,
-        ),
-        Scenario(
-            "echo",
-            {**_ENSEMBLE_REQ, "tau1": parse_time, "tau2_max": parse_time},
-            dict(_ENSEMBLE_OPT),
-            _run_echo,
-        ),
-        Scenario(
-            "echo-scan",
-            {**_ENSEMBLE_REQ, "tau_sum_max": parse_time},
-            dict(_ENSEMBLE_OPT),
-            _run_echo_scan,
-        ),
-        Scenario(
-            "fit-rabi",
-            {"data": parse_path},
-            {"omega_guess": (parse_frequency, None)},
-            _run_fit_rabi,
-        ),
-        Scenario(
-            "fit-ramsey",
-            {
-                "data": parse_path,
-                "b0": parse_field,
-                "sigma_z0": parse_length,
-                "t_axial": parse_temperature,
-            },
-            {},
-            _run_fit_ramsey,
-        ),
-        Scenario(
-            "fit-echo",
-            {"data": parse_path},
-            {
-                # sigma_z0 cancels at tau1 = tau2: accepted, never read
-                "sigma_z0": (parse_length, None),
-                "t_axial": (parse_temperature, None),
-                "b1": (parse_gradient, None),
-            },
-            _run_fit_echo,
-        ),
-    ]
-    return {sc.name: sc for sc in entries}
-
-
-SCENARIOS = _scenarios()
+# scenario -> (required key -> parser, optional key -> (parser, default), runner)
+SCENARIOS = {
+    "rabi": (_RABI_REQ, _RABI_OPT, lambda p: _run_rabi(p, HamiltonianKind.ROT_RWA)),
+    "rabi-lab": (_RABI_REQ, _RABI_OPT, lambda p: _run_rabi(p, HamiltonianKind.LAB_FULL)),
+    "two-level": (
+        _RABI_REQ,
+        {"shift_scale": (parse_frequency, TWO_PI * 1e6), **_POP_OPTIONALS},
+        lambda p: _run_rabi(p, HamiltonianKind.LAB_LIGHT_SHIFT),
+    ),
+    "stirap": (
+        _STIRAP_REQ,
+        {"eta": (parse_number, 0.0), "points": (parse_count, 200), **_STIRAP_OPT},
+        _run_stirap,
+    ),
+    "fstirap-scan": (
+        {**_STIRAP_REQ, "eta_max": parse_number},
+        {"eta_min": (parse_number, 0.0), "points": (parse_count, 25), **_STIRAP_OPT},
+        _run_fstirap_scan,
+    ),
+    "ramsey": ({**_ENSEMBLE_REQ, "tau_max": parse_time}, _ENSEMBLE_OPT, _run_ramsey),
+    "echo": (
+        {**_ENSEMBLE_REQ, "tau1": parse_time, "tau2_max": parse_time},
+        _ENSEMBLE_OPT,
+        _run_echo,
+    ),
+    "echo-scan": ({**_ENSEMBLE_REQ, "tau_sum_max": parse_time}, _ENSEMBLE_OPT, _run_echo_scan),
+    "fit-rabi": ({"data": parse_path}, {"omega_guess": (parse_frequency, None)}, _run_fit_rabi),
+    "fit-ramsey": (
+        {
+            "data": parse_path,
+            "b0": parse_field,
+            "sigma_z0": parse_length,
+            "t_axial": parse_temperature,
+        },
+        {},
+        _run_fit_ramsey,
+    ),
+    "fit-echo": (
+        {"data": parse_path},
+        {
+            # sigma_z0 cancels at tau1 = tau2: accepted, never read
+            "sigma_z0": (parse_length, None),
+            "t_axial": (parse_temperature, None),
+            "b1": (parse_gradient, None),
+        },
+        _run_fit_echo,
+    ),
+}
 
 
 def load_config(path: str) -> dict:
@@ -511,28 +422,33 @@ def run_scenario(raw: dict, seed_override=None, samples_override=None) -> RunOut
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ConfigError(f"scenario: unknown scenario {name!r} (known: {known})")
-    sc = SCENARIOS[name]
-    params = sc.parse(raw)
-    for key, override, parser in (
-        ("seed", seed_override, parse_seed),
-        ("samples", samples_override, parse_count),
-    ):
+    required, optional, runner = SCENARIOS[name]
+    for key in sorted(raw):
+        if key != "scenario" and key not in required and key not in optional:
+            raise ConfigError(f"{key}: unknown key for scenario '{name}'")
+    params = {}
+    for key, parser in required.items():
+        if key not in raw:
+            raise ConfigError(f"{key}: required key missing for scenario '{name}'")
+        params[key] = parser(key, raw[key])
+    for key, (parser, default) in optional.items():
+        params[key] = parser(key, raw[key]) if key in raw else default
+    for key, override in (("seed", seed_override), ("samples", samples_override)):
         if override is None:
             continue
-        if key not in sc.optional:
+        if key not in optional:
             raise ConfigError(f"--{key}: scenario '{name}' takes no {key}")
+        parser, _ = optional[key]
         params[key] = parser(f"--{key}", override)
-    return sc.runner(params)
+    return runner(params)
 
 
 def list_scenarios() -> str:
     lines = []
-    for name in sorted(SCENARIOS):
-        sc = SCENARIOS[name]
-        req = ", ".join(sorted(sc.required)) or "(none)"
-        line = f"{name:<13} required: {req}"
-        if sc.optional:
-            line += f" | optional: {', '.join(sorted(sc.optional))}"
+    for name, (required, optional, _) in sorted(SCENARIOS.items()):
+        line = f"{name:<13} required: {', '.join(sorted(required)) or '(none)'}"
+        if optional:
+            line += f" | optional: {', '.join(sorted(optional))}"
         lines.append(line)
     return "\n".join(lines) + "\n"
 

@@ -119,7 +119,7 @@ class EnsembleSpec:
 def _phase_terms(field: FieldConfig, kind: SequenceKind, tau1, tau2):
     """Coefficients (a, g_z, g_v) of the free-evolution phase
     phi = a + g_z z0 + g_v vz; tau1 and tau2 may be arrays."""
-    g = field.constants.gamma
+    g = CONSTANTS.gamma
     gb1 = field.gamma_b1
     if kind is SequenceKind.RAMSEY:
         return g * field.b0 * tau1, gb1 * tau1, 0.5 * gb1 * tau1**2

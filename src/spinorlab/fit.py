@@ -49,8 +49,8 @@ Grid bounds are set by a dimensionless scale of the sampled trace:
   echo    phase spread sqrt(c) tau_last^2 from 1e-3 to 1e2 rad, 16 points
           per decade.
 
-``fit_rabi`` takes an ``initial_guess`` for "omega", which narrows its
-grid to [guess / 2, 2 guess] within these bounds.
+``fit_rabi`` takes an ``omega_guess``, which narrows its grid to
+[guess / 2, 2 guess] within these bounds.
 Residuals weight all m channels equally unless per-sample weights are given.
 """
 
@@ -245,7 +245,7 @@ def rabi_model_curve(times: np.ndarray, omega: float, weights: np.ndarray) -> np
     return sum(terms, np.zeros(theta.shape + (len(ZEEMAN_M),)))
 
 
-def fit_rabi(data: TimeSeries, initial_guess: dict | None = None) -> FitResult:
+def fit_rabi(data: TimeSeries, omega_guess: float | None = None) -> FitResult:
     """Fit (Omega, initial populations) to a five-level resonant Rabi trace."""
     _require_enough_points(data)
     degenerate = _check_degenerate(data)
@@ -253,9 +253,7 @@ def fit_rabi(data: TimeSeries, initial_guess: dict | None = None) -> FitResult:
         return degenerate
     t_ref = float(np.max(np.abs(data.times)))
     dt = float(data.times[-1] - data.times[0]) / (data.n - 1)
-    lo, hi = _grid_bounds(
-        2 * _RABI_ANGLE_FLOOR / t_ref, math.pi / (2 * dt), (initial_guess or {}).get("omega")
-    )
+    lo, hi = _grid_bounds(2 * _RABI_ANGLE_FLOOR / t_ref, math.pi / (2 * dt), omega_guess)
     # the uniform part moves the 2 Omega harmonic by pi/2 at t_ref per step
     grid = np.union1d(_log_grid(lo, hi), np.arange(lo, hi, math.pi / (4 * t_ref)))
 
@@ -344,9 +342,9 @@ def fit_echo(data: TimeSeries, known: dict) -> FitResult:
 
     The tau^4 envelope fixes only c; params always report "compound" (units
     s^-4) and additionally b1 when known supplies t_axial, or t_axial when
-    known supplies b1; ``known`` must supply exactly one of the two.  B0 and
-    sigma_z0 drop out at tau1 = tau2 but are accepted in ``known`` for
-    interface symmetry.  Delays must be finite and >= 0.
+    known supplies b1; ``known`` must supply exactly one of the two, and
+    may supply mass (kg, default neon-20).  Every other key is ignored: B0
+    and sigma_z0 drop out at tau1 = tau2.  Delays must be finite and >= 0.
     """
     _require_enough_points(data)
     if ("t_axial" in known) == ("b1" in known):

@@ -30,9 +30,12 @@ steps are exponentiated in chunks of _CHUNK with one batched eigh, so the
 temporaries stay bounded however fine the period is cut, and multiplied in
 order, keeping U only at the sample phases and at T.  Convergence is
 certified by doubling the steps per period until the whole observed trace
-moves by less than tol; past _STEP_BUDGET steps per period NumericalError
-names the last step count and change.  A trace shorter than one period is
-propagated over its own span.
+moves by less than tol.  The budget is _STEP_BUDGET steps per period, or
+_MIN_DOUBLINGS doublings past the first count when that is more, so a drive
+much slower than the fastest scale of H, whose first count can pass
+_STEP_BUDGET, still gets passes to compare; past the budget NumericalError
+names it, the last step count and change.  A trace shorter than one period
+is propagated over its own span.
 
 Classical counterpart: the torque equation dJ/dt = b(t) x J with the same
 coefficient vector b that appears in H = b . J.  It is the same stepper in
@@ -46,14 +49,13 @@ an exact rotation, so |J| is conserved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .core import (
     CONSTANTS,
-    PhysicalConstants,
     Populations,
     StateVector,
     build_spin_system,
@@ -82,7 +84,6 @@ class FieldConfig:
     omega_rabi: float | None = None  # rad/s
     b_rf: float | None = None  # T
     omega0: float | None = None  # resonance frequency, rad/s
-    constants: PhysicalConstants = field(default=CONSTANTS, repr=False)
 
     def __post_init__(self):
         for name in ("b0", "b1", "omega_rf", "omega_rabi", "b_rf", "omega0"):
@@ -92,7 +93,7 @@ class FieldConfig:
         if self.b0 < 0:
             raise ValueError("b0 must be >= 0")
         if self.omega_rabi is not None and self.b_rf is not None:
-            implied = self.constants.gamma * self.b_rf
+            implied = CONSTANTS.gamma * self.b_rf
             if not math.isclose(self.omega_rabi, implied, rel_tol=1e-9, abs_tol=1e-6):
                 raise ValueError(
                     "omega_rabi and b_rf disagree: "
@@ -104,19 +105,19 @@ class FieldConfig:
         if self.omega_rabi is not None:
             return float(self.omega_rabi)
         if self.b_rf is not None:
-            return self.constants.gamma * self.b_rf
+            return CONSTANTS.gamma * self.b_rf
         return 0.0
 
     @property
     def resonance(self) -> float:
         if self.omega0 is not None:
             return float(self.omega0)
-        return self.constants.gamma * self.b0
+        return CONSTANTS.gamma * self.b0
 
     @property
     def gamma_b1(self) -> float:
         """Dephasing rate scale gamma * b1 in rad/(s m)."""
-        return self.constants.gamma * self.b1
+        return CONSTANTS.gamma * self.b1
 
 
 class HamiltonianKind(Enum):
@@ -189,6 +190,7 @@ _GAUSS_HI = 0.5 + math.sqrt(3) / 6
 _COMM_COEF = math.sqrt(3) / 12
 _CHUNK = 128  # Magnus steps exponentiated per batched eigh
 _STEP_BUDGET = 2**16  # steps per period at which step doubling gives up
+_MIN_DOUBLINGS = 2  # doublings past the first count that the budget always allows
 
 
 def _propagate(h_of_t, psi0, t0: float, window: float, phases, cycles, steps: int) -> np.ndarray:
@@ -255,8 +257,9 @@ def _evolve(spec: HamiltonianSpec, ops, psi0: np.ndarray, times, tol: float, obs
     cycles = np.floor(elapsed / period).astype(int)
     phases = np.clip(elapsed - cycles * period, 0.0, window)
     steps = max(1, math.ceil(100 * top * window / (2 * math.pi)))  # 1/100 of the fastest period
-    prev, change = None, math.inf
-    while steps <= _STEP_BUDGET:
+    budget = max(_STEP_BUDGET, steps * 2**_MIN_DOUBLINGS)
+    prev = None
+    while steps <= budget:
         trace = _propagate(h_of_t, psi0, times[0], window, phases, cycles, steps)
         cur = observe(trace)
         if prev is not None:
@@ -265,9 +268,8 @@ def _evolve(spec: HamiltonianSpec, ops, psi0: np.ndarray, times, tol: float, obs
                 return trace
         prev, steps = cur, steps * 2
     raise NumericalError(
-        f"step budget of {_STEP_BUDGET} steps per period exhausted: not converged at "
-        f"{steps // 2 if prev is not None else steps} steps per period, "
-        f"last change {change:.3g} against tol {tol:.3g}"
+        f"step budget of {budget} steps per period exhausted: not converged at "
+        f"{steps // 2} steps per period, last change {change:.3g} against tol {tol:.3g}"
     )
 
 

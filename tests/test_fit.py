@@ -61,7 +61,7 @@ def test_rabi_guess_outside_resolvable_range_errors():
     data = synthetic_rabi(TWO_PI * 95e3, [1, 0, 0, 0, 0])
     with pytest.raises(ValueError):
         # far above the Nyquist limit of 60 samples over 30 us
-        fit_rabi(data, initial_guess={"omega": TWO_PI * 1e9})
+        fit_rabi(data, omega_guess=TWO_PI * 1e9)
 
 
 def test_rabi_roundtrip_noiseless():
@@ -135,7 +135,7 @@ def test_rabi_respects_initial_guess_and_weights():
     weighted = TimeSeries(
         times=data.times, populations=data.populations, weights=np.ones(data.n)
     )
-    result = fit_rabi(weighted, initial_guess={"omega": TWO_PI * 55e3})
+    result = fit_rabi(weighted, omega_guess=TWO_PI * 55e3)
     assert result.params["omega"] == pytest.approx(omega, rel=1e-3)
     assert result.params["p_zero_0"] == pytest.approx(0.2, abs=0.005)
 

@@ -7,7 +7,14 @@ import pytest
 
 from oracles import ladder_cg_table, rf_populations
 from spinorlab import propagator
-from spinorlab.core import ZEEMAN_M, Populations, build_spin_system, populations, zeeman_state
+from spinorlab.core import (
+    CONSTANTS,
+    ZEEMAN_M,
+    Populations,
+    build_spin_system,
+    populations,
+    zeeman_state,
+)
 from spinorlab.propagator import (
     ClassicalSpin,
     FieldConfig,
@@ -37,7 +44,7 @@ def resonant(f_res_khz: float, f_rabi_khz: float) -> FieldConfig:
 
 
 def test_field_config_validation():
-    gamma = FieldConfig().constants.gamma
+    gamma = CONSTANTS.gamma
     with pytest.raises(ValueError):
         FieldConfig(b0=-1e-4)
     for name in ("b0", "b1", "omega_rf", "omega_rabi", "b_rf", "omega0"):
@@ -145,6 +152,34 @@ def test_unreachable_tol_names_last_step_and_change():
     assert "not converged at 51200 steps per period" in message
     change = re.search(r"last change (\S+) against tol 1e-30", message)
     assert change and float(change.group(1)) >= 1e-30
+
+
+def test_budget_below_the_first_count_still_allows_doublings(monkeypatch):
+    # the same drive starts at 100 steps per period, above a budget of 64,
+    # so the budget applied is 100 * 2**_MIN_DOUBLINGS
+    monkeypatch.setattr(propagator, "_STEP_BUDGET", 64)
+    spec = HamiltonianSpec(HamiltonianKind.LAB_FULL, resonant(242, 160))
+    with pytest.raises(NumericalError) as info:
+        evolve_state(zeeman_state(2, 2), spec, 0.0, 10e-6, tol=1e-30)
+    last = 100 * 2**propagator._MIN_DOUBLINGS
+    assert f"step budget of {last} steps per period exhausted" in str(info.value)
+    assert f"not converged at {last} steps per period" in str(info.value)
+
+
+def test_slow_drive_keeps_the_cone_angle_about_the_field():
+    # 1 kHz RF on an 800 kHz resonance over two drive periods: a period
+    # starts at 80,000 steps, above _STEP_BUDGET.  The field axis turns
+    # adiabatically (turn rate over Larmor frequency ~1.5e-4), so |+2>
+    # keeps its cone angle atan(Omega / w0) about the field.  Where the
+    # drive passes zero the field is along z, and the populations are those
+    # of a rotation by that angle.
+    cfg = FieldConfig(omega0=TWO_PI * 800e3, omega_rf=TWO_PI * 1e3, omega_rabi=TWO_PI * 95e3)
+    spec = HamiltonianSpec(HamiltonianKind.LAB_FULL, cfg)
+    times = np.linspace(0.0, 2e-3, 41)
+    pops = evolve_populations(Populations([1.0, 0, 0, 0, 0]), spec, times)
+    quarter_periods = pops[[5, 15, 25, 35]]  # t = 0.25, 0.75, 1.25, 1.75 ms
+    cone = rotation_population_curve(2, math.atan(95 / 800))
+    assert np.max(np.abs(quarter_periods - cone)) < 1e-4
 
 
 # frame of the oracle and the period of H in units of pi / w
