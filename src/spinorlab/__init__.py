@@ -15,6 +15,7 @@ from .core import (
     SpinSystem,
     StateVector,
     build_spin_system,
+    clebsch_gordan,
     populations,
     zeeman_state,
 )
@@ -45,7 +46,6 @@ from .stirap import (
     ChainCouplings,
     NonAdiabaticPulseWarning,
     StirapParams,
-    clebsch_gordan,
     dark_state,
     fstirap_populations_closed,
     physical_chain_couplings,

@@ -180,9 +180,7 @@ def _stirap_params(params: dict, eta: float) -> stirap.StirapParams:
 def _run_stirap(params: dict) -> RunOutput:
     p = _stirap_params(params, params["eta"])
     times, chain_pops, survival = stirap.stirap_trace(p, n_points=params["points"])
-    zeeman = np.column_stack(
-        [chain_pops[:, 0], chain_pops[:, 2], chain_pops[:, 4], np.zeros((times.size, 2))]
-    )
+    zeeman = stirap.chain_to_zeeman_populations(chain_pops)
     rows = np.column_stack([times * 1e6, zeeman, survival])
     return RunOutput(["t_us", *P_COLUMNS, "survival"], rows)
 
@@ -191,7 +189,8 @@ def _run_fstirap_scan(params: dict) -> RunOutput:
     rows = []
     for eta in np.linspace(params["eta_min"], params["eta_max"], params["points"]):
         final, survival = stirap.simulate_stirap(_stirap_params(params, float(eta)))
-        rows.append([eta, *stirap.chain_to_zeeman_populations(final), survival])
+        zeeman = stirap.chain_to_zeeman_populations(np.abs(final.amplitudes) ** 2)
+        rows.append([eta, *zeeman, survival])
     return RunOutput(["eta", *P_COLUMNS, "survival"], np.array(rows))
 
 

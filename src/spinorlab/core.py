@@ -1,4 +1,4 @@
-"""Spin systems, state vectors, populations and physical constants.
+"""Spin systems, states, populations, constants and Clebsch-Gordan coefficients.
 
 Every quantity is a plain float in SI units (rad/s, tesla, meter, second,
 kelvin, kilogram); the CLI converts its unit-suffixed config values to SI
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -50,11 +51,56 @@ class PhysicalConstants:
 CONSTANTS = PhysicalConstants()
 
 
+def _doubled(x: float, name: str) -> int:
+    """2x as an int; rejects x that is neither integer nor half-integer."""
+    two_x = round(2 * x)
+    if abs(2 * x - two_x) > 1e-9:
+        raise ValueError(f"{name} must be integer or half-integer, got {x}")
+    return int(two_x)
+
+
 def _as_two_j(j: float) -> int:
-    two_j = round(2 * j)
-    if abs(2 * j - two_j) > 1e-9 or two_j < 1:
+    two_j = _doubled(j, "j")
+    if two_j < 1:
         raise ValueError(f"j must be a positive half-integer >= 1/2, got {j}")
-    return int(two_j)
+    return two_j
+
+
+@lru_cache(maxsize=None)
+def _cg_doubled(dj1: int, dm1: int, dj2: int, dm2: int, dj: int, dm: int) -> float:
+    """Racah's sum, every argument doubled, exact rationals inside the root.
+
+    The factorial arguments are halves of a, b, c, p1, q1, p2, q2, p, q; all
+    are non-negative and even exactly when every selection rule but
+    m1 + m2 = m holds (j - m integer, |m| <= j, triangle, j1 + j2 + j integer).
+    """
+    a, b, c = dj1 + dj2 - dj, dj1 - dj2 + dj, dj2 - dj1 + dj
+    p1, q1, p2, q2, p, q = dj1 - dm1, dj1 + dm1, dj2 - dm2, dj2 + dm2, dj - dm, dj + dm
+    args = (a, b, c, p1, q1, p2, q2, p, q)
+    if dm1 + dm2 != dm or any(x < 0 or x % 2 for x in args):
+        return 0.0
+    a, b, c, p1, q1, p2, q2, p, q = (x // 2 for x in args)
+    f = math.factorial
+    pref = Fraction((dj + 1) * f(a) * f(b) * f(c), f(a + b + c + 1))
+    pref *= f(p) * f(q) * f(p1) * f(q1) * f(p2) * f(q2)
+    total = sum(
+        Fraction((-1) ** k, f(k) * f(a - k) * f(p1 - k) * f(q2 - k) * f(b - p1 + k) * f(c - q2 + k))
+        for k in range(max(0, p1 - b, q2 - c), min(a, p1, q2) + 1)
+    )
+    return math.copysign(math.sqrt(float(pref * total * total)), total)
+
+
+def clebsch_gordan(j1: float, m1: float, j2: float, m2: float, j: float, m: float) -> float:
+    """Condon-Shortley Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m>.
+
+    Violated selection rules (projection, triangle) give 0 rather than an
+    error.
+    """
+    names = ("j1", "m1", "j2", "m2", "j", "m")
+    doubled = [_doubled(x, name) for x, name in zip((j1, m1, j2, m2, j, m), names)]
+    if j1 < 0 or j2 < 0 or j < 0:
+        raise ValueError("angular momenta must be non-negative")
+    return _cg_doubled(*doubled)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ field B0 + B1 z, the phase of either sequence is linear in (z0, vz):
 
 and ``_phase_terms`` is the one place the coefficients (a, g_z, g_v) are
 written; the single-atom phases, the analytic mean and variance, and the
-envelopes all read them.  Over a Gaussian position spread and a thermal
+envelopes all read them; a carries ``FieldConfig.resonance`` (gamma B0, or
+omega0 when given).  Over a Gaussian position spread and a thermal
 (Gaussian) velocity marginal the phase is a + Z with Z zero-mean Gaussian of
 variance (g_z sigma_z0)^2 + (g_v sigma_vz)^2, so <e^{i k phi}> =
 e^{i k a} e^{-k^2 var(Z)/2}.  A spin-j sequence population
@@ -119,12 +120,12 @@ class EnsembleSpec:
 def _phase_terms(field: FieldConfig, kind: SequenceKind, tau1, tau2):
     """Coefficients (a, g_z, g_v) of the free-evolution phase
     phi = a + g_z z0 + g_v vz; tau1 and tau2 may be arrays."""
-    g = CONSTANTS.gamma
+    w0 = field.resonance
     gb1 = field.gamma_b1
     if kind is SequenceKind.RAMSEY:
-        return g * field.b0 * tau1, gb1 * tau1, 0.5 * gb1 * tau1**2
+        return w0 * tau1, gb1 * tau1, 0.5 * gb1 * tau1**2
     dtau = tau2 - tau1
-    return -g * field.b0 * dtau, -gb1 * dtau, 0.5 * gb1 * (dtau**2 - 2 * tau2**2)
+    return -w0 * dtau, -gb1 * dtau, 0.5 * gb1 * (dtau**2 - 2 * tau2**2)
 
 
 def _phase(field: FieldConfig, kind: SequenceKind, z0, vz, tau1: float, tau2: float):

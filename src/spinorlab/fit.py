@@ -63,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize_scalar, nnls
 
-from .core import CONSTANTS, ZEEMAN_M, build_spin_system
+from .core import CONSTANTS, TWO_PI, ZEEMAN_M, build_spin_system
 from .ensemble import (
     EnsembleSpec,
     SequenceKind,
@@ -206,16 +206,18 @@ def _varpro_fit(data: TimeSeries, basis, grid: np.ndarray, name: str) -> FitResu
 
 
 def _grid_bounds(lo: float, hi: float, guess) -> tuple[float, float]:
-    """Narrow [lo, hi] to [guess / 2, 2 guess] when a guess is given."""
+    """Narrow [lo, hi] (rad/s) to [guess / 2, 2 guess] when an omega_guess
+    is given; errors name it and give rad/s with the Hz equivalents."""
     if guess is None:
         return lo, hi
     g = float(guess)
     if not g > 0:
-        raise ValueError("the initial guess must be positive")
+        raise ValueError(f"omega_guess: must be positive, got {g:.6g} rad/s")
     narrow_lo, narrow_hi = max(lo, g / _GUESS_SPAN), min(hi, g * _GUESS_SPAN)
     if narrow_lo >= narrow_hi:
         raise ValueError(
-            f"initial guess {g:.6g} is outside the resolvable range [{lo:.6g}, {hi:.6g}]"
+            f"omega_guess: {g:.6g} rad/s ({g / TWO_PI:.6g} Hz) is outside the resolvable"
+            f" range [{lo:.6g}, {hi:.6g}] rad/s ([{lo / TWO_PI:.6g}, {hi / TWO_PI:.6g}] Hz)"
         )
     return narrow_lo, narrow_hi
 
@@ -348,7 +350,8 @@ def fit_echo(data: TimeSeries, known: dict) -> FitResult:
     """
     _require_enough_points(data)
     if ("t_axial" in known) == ("b1" in known):
-        raise ValueError("known must supply exactly one of t_axial or b1")
+        given = "both" if "b1" in known else "neither"
+        raise ValueError(f"t_axial, b1: exactly one of t_axial or b1 must be given, got {given}")
     _check_delays(data.times, data.times)
     degenerate = _check_degenerate(data)
     if degenerate is not None:

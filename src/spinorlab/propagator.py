@@ -59,6 +59,7 @@ from .core import (
     Populations,
     StateVector,
     build_spin_system,
+    clebsch_gordan,
     mixture_columns,
 )
 
@@ -73,39 +74,27 @@ class FieldConfig:
 
     b0 (T) and omega0 (rad/s) are treated as independent knobs: if only one
     is given the other is derived through gamma = g_j mu_B / hbar, but both
-    may be supplied as-measured without a consistency requirement.  b_rf and
-    omega_rabi, in contrast, describe the same physical drive, so supplying
-    both with omega_rabi != gamma*b_rf is an error.
+    may be supplied as-measured without a consistency requirement.
     """
 
     b0: float = 0.0  # bias field, T
     b1: float = 0.0  # gradient along z, T/m
     omega_rf: float = 0.0  # drive frequency, rad/s
     omega_rabi: float | None = None  # rad/s
-    b_rf: float | None = None  # T
     omega0: float | None = None  # resonance frequency, rad/s
 
     def __post_init__(self):
-        for name in ("b0", "b1", "omega_rf", "omega_rabi", "b_rf", "omega0"):
+        for name in ("b0", "b1", "omega_rf", "omega_rabi", "omega0"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if self.b0 < 0:
             raise ValueError("b0 must be >= 0")
-        if self.omega_rabi is not None and self.b_rf is not None:
-            implied = CONSTANTS.gamma * self.b_rf
-            if not math.isclose(self.omega_rabi, implied, rel_tol=1e-9, abs_tol=1e-6):
-                raise ValueError(
-                    "omega_rabi and b_rf disagree: "
-                    f"{self.omega_rabi} vs gamma*b_rf = {implied}"
-                )
 
     @property
     def rabi(self) -> float:
         if self.omega_rabi is not None:
             return float(self.omega_rabi)
-        if self.b_rf is not None:
-            return CONSTANTS.gamma * self.b_rf
         return 0.0
 
     @property
@@ -369,8 +358,6 @@ def evolve_classical(
 
 def _sigma_plus_weights() -> np.ndarray:
     """|<2 m; 1 1 | 1 m+1>|^2 for m = +2 ... -2 (zero without a J'=1 partner)."""
-    from .stirap import clebsch_gordan
-
     return np.array([clebsch_gordan(2, m, 1, 1, 1, m + 1) ** 2 for m in (2, 1, 0, -1, -2)])
 
 

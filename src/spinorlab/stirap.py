@@ -28,6 +28,11 @@ nonadiabatic leakage in the Gaussian tails, not a normalization slip.
 
 Excited-state decay is modeled non-Hermitianly: the lost norm is the loss
 fraction, no repopulation.
+
+The Clebsch-Gordan factors come from ``core.clebsch_gordan``.  Every solve
+is one ``_integrate`` call (DOP853 over the pulse window, from |+2> unless
+a state is given, with the pulse-area warning); ``simulate_stirap`` and
+``stirap_trace`` only post-process it.
 """
 
 from __future__ import annotations
@@ -35,89 +40,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core import Populations, StateVector
+from .core import Populations, StateVector, clebsch_gordan
 
 CHAIN_LABELS = ("+2", "e2", "+1", "e1", "0")
 
 
 class NonAdiabaticPulseWarning(UserWarning):
     """Pulse area too small for adiabatic passage (diagnostic only)."""
-
-
-def _half_int(x: float, name: str) -> None:
-    if abs(2 * x - round(2 * x)) > 1e-9:
-        raise ValueError(f"{name} must be integer or half-integer, got {x}")
-
-
-@lru_cache(maxsize=None)
-def _cg_doubled(dj1: int, dm1: int, dj2: int, dm2: int, dj: int, dm: int) -> float:
-    """Racah's closed form, exact rational arithmetic inside the square root."""
-    # m must step from -j in integer steps; otherwise the projection is not
-    # a state of that j (and the factorial arguments below are half-odd)
-    if (dj1 - dm1) % 2 or (dj2 - dm2) % 2 or (dj - dm) % 2:
-        return 0.0
-    j1, m1, j2, m2, j, m = (x / 2 for x in (dj1, dm1, dj2, dm2, dj, dm))
-    if m1 + m2 != m:
-        return 0.0
-    if not (abs(j1 - j2) <= j <= j1 + j2):
-        return 0.0
-    if abs(m1) > j1 or abs(m2) > j2 or abs(m) > j:
-        return 0.0
-    if (dj1 + dj2 + dj) % 2 != 0:
-        return 0.0
-
-    def f(x: float) -> int:
-        n = round(x)
-        if abs(x - n) > 1e-9 or n < 0:
-            raise ValueError("non-integer factorial argument in CG evaluation")
-        return math.factorial(n)
-
-    pref = Fraction(
-        (round(2 * j) + 1) * f(j1 + j2 - j) * f(j1 - j2 + j) * f(-j1 + j2 + j),
-        f(j1 + j2 + j + 1),
-    )
-    pref *= Fraction(
-        f(j + m) * f(j - m) * f(j1 - m1) * f(j1 + m1) * f(j2 - m2) * f(j2 + m2)
-    )
-    total = Fraction(0)
-    k = 0
-    while True:
-        args = (j1 + j2 - j - k, j1 - m1 - k, j2 + m2 - k, j - j2 + m1 + k, j - j1 - m2 + k)
-        if min(args[:3]) < -1e-9 and k > 0:
-            break
-        if all(a >= -1e-9 for a in args):
-            denom = f(k)
-            for a in args:
-                denom *= f(a)
-            total += Fraction((-1) ** k, denom)
-        k += 1
-        if k > j1 + j2 + j + 2:
-            break
-    if total == 0:
-        return 0.0
-    sign = 1.0 if total > 0 else -1.0
-    return sign * math.sqrt(float(pref * total * total))
-
-
-def clebsch_gordan(j1: float, m1: float, j2: float, m2: float, j: float, m: float) -> float:
-    """Condon-Shortley Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m>.
-
-    Violated selection rules (projection, triangle) give 0 rather than an
-    error.
-    """
-    for x, name in ((j1, "j1"), (m1, "m1"), (j2, "j2"), (m2, "m2"), (j, "j"), (m, "m")):
-        _half_int(x, name)
-    if j1 < 0 or j2 < 0 or j < 0:
-        raise ValueError("angular momenta must be non-negative")
-    return _cg_doubled(
-        round(2 * j1), round(2 * m1), round(2 * j2), round(2 * m2), round(2 * j), round(2 * m)
-    )
 
 
 @dataclass(frozen=True)
@@ -242,7 +176,16 @@ def _window(p: StirapParams) -> tuple[float, float]:
     return (min(0.0, p.delta_t) - 4 * p.tau_pulse, max(0.0, p.delta_t) + 4 * p.tau_pulse)
 
 
-def _integrate(p: StirapParams, initial: np.ndarray, t_eval=None):
+def _integrate(p: StirapParams, initial: StateVector | None, t_eval=None):
+    """DOP853 solve through the window of ``p``, from |+2> unless ``initial``
+    is given; owns the nonadiabatic warning, aimed at the public caller."""
+    if p.omega0_peak * p.tau_pulse < 10:
+        warnings.warn(
+            "pulse area omega0_peak * tau_pulse < 10; transfer may be non-adiabatic",
+            NonAdiabaticPulseWarning,
+            stacklevel=3,
+        )
+    y0 = initial.amplitudes if initial is not None else np.eye(5, dtype=complex)[0]
     # H(t) = H0 + Omega_P(t) H_P + Omega_S(t) H_S, with -i folded in
     h0 = chain_hamiltonian(p, 0.0, 0.0)
     a0 = -1j * h0
@@ -259,11 +202,10 @@ def _integrate(p: StirapParams, initial: np.ndarray, t_eval=None):
         stokes = w0 * math.exp(-(t**2) / tau2) + eta * pump
         return (a0 + pump * a_pump + stokes * a_stokes) @ y
 
-    t0, t1 = _window(p)
     sol = solve_ivp(
         rhs,
-        (t0, t1),
-        initial.astype(complex),
+        _window(p),
+        np.asarray(y0, dtype=complex),
         method="DOP853",
         rtol=1e-10,
         atol=1e-12,
@@ -275,15 +217,6 @@ def _integrate(p: StirapParams, initial: np.ndarray, t_eval=None):
     return sol
 
 
-def _warn_if_nonadiabatic(p: StirapParams) -> None:
-    if p.omega0_peak * p.tau_pulse < 10:
-        warnings.warn(
-            "pulse area omega0_peak * tau_pulse < 10; transfer may be non-adiabatic",
-            NonAdiabaticPulseWarning,
-            stacklevel=3,
-        )
-
-
 def simulate_stirap(
     p: StirapParams, initial: StateVector | None = None
 ) -> tuple[StateVector, float]:
@@ -292,10 +225,7 @@ def simulate_stirap(
     Returns the final state (normalized) and the survival probability, i.e.
     the squared norm remaining when gamma_e > 0 (1.0 when lossless).
     """
-    _warn_if_nonadiabatic(p)
-    y0 = initial.amplitudes if initial is not None else np.eye(5, dtype=complex)[0]
-    sol = _integrate(p, np.asarray(y0, dtype=complex))
-    yf = sol.y[:, -1]
+    yf = _integrate(p, initial).y[:, -1]
     survival = min(float(np.sum(np.abs(yf) ** 2)), 1.0)
     return StateVector.normalized(yf), survival
 
@@ -308,20 +238,18 @@ def stirap_trace(
     Returns (times, populations (n,5) in chain order, survival (n,)).
     Populations are relative to the surviving norm.
     """
-    _warn_if_nonadiabatic(p)
-    t0, t1 = _window(p)
-    times = np.linspace(t0, t1, n_points)
-    y0 = initial.amplitudes if initial is not None else np.eye(5, dtype=complex)[0]
-    sol = _integrate(p, np.asarray(y0, dtype=complex), t_eval=times)
-    raw = np.abs(sol.y.T) ** 2
+    times = np.linspace(*_window(p), n_points)
+    raw = np.abs(_integrate(p, initial, t_eval=times).y.T) ** 2
     survival = np.minimum(raw.sum(axis=1), 1.0)
     pops = raw / raw.sum(axis=1, keepdims=True)
     return times, pops, survival
 
 
-def chain_to_zeeman_populations(state: StateVector) -> np.ndarray:
-    """Populations of the chain's ground sublevels mapped onto the Zeeman
-    basis m = +2 ... -2 (the m = -1, -2 slots are outside the chain and 0).
-    Does not renormalize, so the result sums to 1 minus the excited share."""
-    p = np.abs(state.amplitudes) ** 2
-    return np.array([p[0], p[2], p[4], 0.0, 0.0])
+def chain_to_zeeman_populations(chain_pops) -> np.ndarray:
+    """Chain populations (..., 5) in Zeeman slots m = +2 ... -2: |+2>, |+1>,
+    |0> fill the first three and the m = -1, -2 slots, outside the chain, are
+    0.  Does not renormalize: a row sums to 1 minus its excited share."""
+    chain_pops = np.asarray(chain_pops, dtype=float)
+    zeeman = np.zeros_like(chain_pops)
+    zeeman[..., :3] = chain_pops[..., ::2]
+    return zeeman

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from spinorlab import cli, fit
 from spinorlab.stirap import fstirap_populations_closed
 
 TWO_PI = 2 * math.pi
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(tmp_path, name, text):
@@ -311,6 +313,29 @@ def test_fit_echo_requires_single_anchor(tmp_path, capsys):
     )
     assert run_cli(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 1
     assert "t_axial" in capsys.readouterr().err
+
+
+def test_fit_rabi_guess_out_of_range_names_key_and_unit(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "fit.yaml",
+        f"scenario: fit-rabi\ndata: {DATA / 'fit-input-rabi.csv'}\nomega_guess: 1 Hz\n",
+    )
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: omega_guess: ") and "rad/s" in err and "Hz" in err
+
+
+def test_fit_echo_with_both_anchors_names_both_keys(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "fit.yaml",
+        f"scenario: fit-echo\ndata: {DATA / 'fit-input-echo.csv'}\n"
+        "t_axial: 0.2 mK\nb1: 13.5 mG/mm\n",
+    )
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_axial, b1: ") and "known" not in err
 
 
 ECHO_TRACE = (

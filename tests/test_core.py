@@ -69,7 +69,7 @@ def test_populations_of_even_superposition():
 
 def test_populations_of_fractional_stirap_dark_state():
     # eta = 1 target superposition: weights 3 : 6 : 2 over (+2, +1, 0)
-    mapped = chain_to_zeeman_populations(dark_state(1.0))
+    mapped = chain_to_zeeman_populations(populations(dark_state(1.0)).p)
     assert np.allclose(mapped, [3 / 11, 6 / 11, 2 / 11, 0, 0], atol=1e-12)
 
 

@@ -446,3 +446,19 @@ def test_monte_carlo_curve_equals_per_timing_averages(kind):
             ECHO_FIELD, spec, SequenceTiming(kind, a, b), initial, AverageMethod.MONTE_CARLO
         )
         assert np.array_equal(row, single.p)
+
+
+@pytest.mark.parametrize("method", list(AverageMethod))
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_resonance_given_as_omega0_sets_the_carrier(kind, method):
+    # the carrier is FieldConfig.resonance, so omega0 = gamma b0 stands for b0
+    b1 = 4.5 * MG_PER_MM
+    fields = (FieldConfig(b0=179e-7, b1=b1), FieldConfig(omega0=CONSTANTS.gamma * 179e-7, b1=b1))
+    spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=5000, seed=3)
+    tau1 = np.linspace(0.0, 60e-6, 7)
+    tau2 = 1.5 * tau1 if kind is SequenceKind.ECHO else None
+    initial = Populations([0.8, 0.0, 0.2, 0.0, 0.0])
+    by_b0, by_omega0 = (
+        ensemble_average_curve(f, spec, kind, tau1, tau2, initial, method) for f in fields
+    )
+    assert np.array_equal(by_b0, by_omega0)

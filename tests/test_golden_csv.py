@@ -1,8 +1,8 @@
 """Golden CSV and stdout output of every scenario, and the scenario list.
 
-Every non-fit config below starts from a mixture or, for STIRAP, has loss
-or a fractional ratio, and is small enough that the module runs in a few
-seconds.  The fit configs read the fixed input traces
+Every non-fit config below starts from a mixture or, for STIRAP, has loss,
+a fractional ratio or a two-photon detuning, and is small enough that the
+module runs in a few seconds.  The fit configs read the fixed input traces
 ``tests/data/fit-input-*.csv``: a three-state Rabi trace at 95 kHz, a
 constant trace, and a 0.9/0.1 Ramsey (B1 = 4.5 mG/mm) and echo
 (B1 = 13.5 mG/mm) trace, the non-constant ones with seeded Gaussian noise
@@ -82,6 +82,9 @@ p0_plus2: 0.9
 p0_plus1: 0.1
 """,
     "stirap-lossy": "scenario: stirap\n" + _STIRAP + "gamma_e: 4 MHz\neta: 0.5\npoints: 40\n",
+    "stirap-lossless": (
+        "scenario: stirap\n" + _STIRAP + "two_photon_detuning: 200 kHz\npoints: 40\n"
+    ),
     "fstirap-scan": "scenario: fstirap-scan\n" + _STIRAP + "eta_max: 2.0\npoints: 3\n",
     "ramsey-mc": "scenario: ramsey\n" + _ENSEMBLE + "tau_max: 60 us\n" + _MC,
     "ramsey-analytic": "scenario: ramsey\n" + _ENSEMBLE + "tau_max: 60 us\nmethod: analytic\n",

@@ -49,10 +49,10 @@ def test_singlet_coefficient():
 
 
 def test_full_table_against_ladder_oracle():
-    oracle = ladder_cg_table(2, 1)
-    for (m1, m2, j, m), expected in oracle.items():
-        got = clebsch_gordan(2, m1, 1, m2, j, m)
-        assert got == pytest.approx(expected, abs=1e-12), (m1, m2, j, m)
+    for j1, j2 in [(0.5, 0.5), (1, 1), (1.5, 1), (2, 1), (2, 2), (2.5, 1.5), (3, 2)]:
+        for (m1, m2, j, m), expected in ladder_cg_table(j1, j2).items():
+            got = clebsch_gordan(j1, m1, j2, m2, j, m)
+            assert got == pytest.approx(expected, abs=1e-12), (j1, m1, j2, m2, j, m)
 
 
 half_int = st.integers(-6, 6).map(lambda n: n / 2)
@@ -151,7 +151,7 @@ def test_closed_form_normalized(eta):
 
 def test_dark_state_limits_and_weights():
     assert np.allclose(np.abs(dark_state(0.0).amplitudes) ** 2, [0, 0, 0, 0, 1], atol=1e-15)
-    mapped = chain_to_zeeman_populations(dark_state(1.0))
+    mapped = chain_to_zeeman_populations(np.abs(dark_state(1.0).amplitudes) ** 2)
     assert np.allclose(mapped, [3 / 11, 6 / 11, 2 / 11, 0, 0], atol=1e-14)
 
 
@@ -167,7 +167,7 @@ def test_dark_state_is_annihilated(eta):
 
 @pytest.mark.parametrize("eta", [0.1, 0.7, 1.7])
 def test_dark_state_matches_closed_form(eta):
-    mapped = chain_to_zeeman_populations(dark_state(eta))
+    mapped = chain_to_zeeman_populations(np.abs(dark_state(eta).amplitudes) ** 2)
     closed = fstirap_populations_closed(eta).p
     assert np.allclose(mapped[:3], closed, atol=1e-13)
 
@@ -185,7 +185,7 @@ def test_complete_transfer_with_paper_pulses():
 @pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 1.0, 2.0, 3.0])
 def test_fractional_transfer_matches_closed_form(eta):
     final, _ = simulate_stirap(paper_pulses(eta=eta))
-    mapped = chain_to_zeeman_populations(final)
+    mapped = chain_to_zeeman_populations(np.abs(final.amplitudes) ** 2)
     closed = fstirap_populations_closed(eta).p
     assert np.max(np.abs(mapped[:3] - closed)) < 0.02
 
@@ -238,9 +238,12 @@ def test_dark_state_protection_and_two_photon_loss():
 
 
 def test_nonadiabatic_warning():
+    # the warning points at the caller's file, not at stirap.py
     weak = paper_pulses(omega0_peak=5 / 0.55e-6)
-    with pytest.warns(NonAdiabaticPulseWarning):
-        simulate_stirap(weak)
+    for run in (simulate_stirap, lambda p: stirap_trace(p, n_points=3)):
+        with pytest.warns(NonAdiabaticPulseWarning) as record:
+            run(weak)
+        assert [w.filename for w in record] == [__file__]
 
 
 def test_trace_shapes_and_survival():
