@@ -43,12 +43,12 @@ from .propagator import (
     rotating_frame_state,
 )
 from .stirap import (
-    ChainCouplings,
+    PUMP_CG,
+    STOKES_CG,
     NonAdiabaticPulseWarning,
     StirapParams,
     dark_state,
     fstirap_populations_closed,
-    physical_chain_couplings,
     pulse_envelopes,
     simulate_stirap,
     stirap_trace,

@@ -116,11 +116,21 @@ def parse_number(key: str, raw) -> float:
     return float(raw)
 
 
-def parse_fraction(key: str, raw) -> float:
-    x = parse_number(key, raw)
-    if not 0 <= x <= 1:
-        raise ConfigError(f"{key}: must lie in [0, 1], got {x}")
-    return x
+def _in_range(parse, lo: float, hi: float = math.inf):
+    """``parse``, then a check that the value lies in [lo, hi]."""
+
+    def parse_in_range(key: str, raw) -> float:
+        value = parse(key, raw)
+        if not lo <= value <= hi:
+            raise ConfigError(f"{key}: must lie in [{lo:g}, {hi:g}], got {raw!r}")
+        return value
+
+    return parse_in_range
+
+
+parse_fraction = _in_range(parse_number, 0.0, 1.0)
+parse_span = _in_range(parse_time, 0.0)  # durations, delays and the ends of delay scans
+parse_ratio = _in_range(parse_number, 0.0)
 
 
 def parse_method(key: str, raw) -> ensemble.AverageMethod:
@@ -245,7 +255,10 @@ def _load_timeseries(key: str, path: str) -> fit.TimeSeries:
         raise ConfigError(f"{key}: malformed CSV in {path!r} ({exc})") from exc
     if len(names) < 6 or data.shape[1] < 6:
         raise ConfigError(f"{key}: need a time column plus five population columns in {path!r}")
-    return fit.TimeSeries(times=data[:, 0] * 1e-6, populations=data[:, 1:6])
+    try:
+        return fit.TimeSeries(times=data[:, 0] * 1e-6, populations=data[:, 1:6])
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _fit_output(column: str, data, result, extra: dict, model) -> RunOutput:
@@ -311,7 +324,7 @@ def _run_fit_echo(params: dict) -> RunOutput:
 _RABI_REQ = {
     "omega0": parse_frequency,
     "omega_rabi": parse_frequency,
-    "duration": parse_time,
+    "duration": parse_span,
     "points": parse_count,
 }
 _RABI_OPT = {"omega_rf": (parse_frequency, None), **_POP_OPTIONALS}
@@ -352,21 +365,21 @@ SCENARIOS = {
     ),
     "stirap": (
         _STIRAP_REQ,
-        {"eta": (parse_number, 0.0), "points": (parse_count, 200), **_STIRAP_OPT},
+        {"eta": (parse_ratio, 0.0), "points": (parse_count, 200), **_STIRAP_OPT},
         _run_stirap,
     ),
     "fstirap-scan": (
-        {**_STIRAP_REQ, "eta_max": parse_number},
-        {"eta_min": (parse_number, 0.0), "points": (parse_count, 25), **_STIRAP_OPT},
+        {**_STIRAP_REQ, "eta_max": parse_ratio},
+        {"eta_min": (parse_ratio, 0.0), "points": (parse_count, 25), **_STIRAP_OPT},
         _run_fstirap_scan,
     ),
-    "ramsey": ({**_ENSEMBLE_REQ, "tau_max": parse_time}, _ENSEMBLE_OPT, _run_ramsey),
+    "ramsey": ({**_ENSEMBLE_REQ, "tau_max": parse_span}, _ENSEMBLE_OPT, _run_ramsey),
     "echo": (
-        {**_ENSEMBLE_REQ, "tau1": parse_time, "tau2_max": parse_time},
+        {**_ENSEMBLE_REQ, "tau1": parse_span, "tau2_max": parse_span},
         _ENSEMBLE_OPT,
         _run_echo,
     ),
-    "echo-scan": ({**_ENSEMBLE_REQ, "tau_sum_max": parse_time}, _ENSEMBLE_OPT, _run_echo_scan),
+    "echo-scan": ({**_ENSEMBLE_REQ, "tau_sum_max": parse_span}, _ENSEMBLE_OPT, _run_echo_scan),
     "fit-rabi": ({"data": parse_path}, {"omega_guess": (parse_frequency, None)}, _run_fit_rabi),
     "fit-ramsey": (
         {

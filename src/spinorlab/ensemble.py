@@ -95,17 +95,16 @@ def _check_delays(tau1, tau2) -> None:
 class EnsembleSpec:
     """Thermal ensemble: Gaussian position spread and 1-d thermal velocities.
 
-    The velocity marginal along z is Gaussian with variance k_B T_z / m.
+    The velocity marginal along z is Gaussian with variance k_B T_z / m_Ne20.
     """
 
     sigma_z0: float  # m
     t_axial: float  # K
-    mass: float = CONSTANTS.mass_ne20  # kg
     n_samples: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("sigma_z0", "t_axial", "mass"):
+        for name in ("sigma_z0", "t_axial"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite")
@@ -114,7 +113,7 @@ class EnsembleSpec:
 
     @property
     def sigma_vz(self) -> float:
-        return math.sqrt(CONSTANTS.k_b * self.t_axial / self.mass)
+        return math.sqrt(CONSTANTS.k_b * self.t_axial / CONSTANTS.mass_ne20)
 
 
 def _phase_terms(field: FieldConfig, kind: SequenceKind, tau1, tau2):

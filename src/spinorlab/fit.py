@@ -51,7 +51,7 @@ Grid bounds are set by a dimensionless scale of the sampled trace:
 
 ``fit_rabi`` takes an ``omega_guess``, which narrows its grid to
 [guess / 2, 2 guess] within these bounds.
-Residuals weight all m channels equally unless per-sample weights are given.
+Residuals weight every sample and every m channel equally.
 """
 
 from __future__ import annotations
@@ -63,18 +63,17 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize_scalar, nnls
 
-from .core import CONSTANTS, TWO_PI, ZEEMAN_M, build_spin_system
+from .core import CONSTANTS, TWO_PI, ZEEMAN_M
 from .ensemble import (
     EnsembleSpec,
     SequenceKind,
     _carrier_and_variance,
-    _check_delays,
     _dx_pair,
     _harmonic_sum,
     _phase_harmonics,
 )
 from .propagator import FieldConfig
-from .rotations import rotation_population_curve
+from .rotations import RotationAxis, _axis_eig, rotation_population_curve
 
 _POP_KEYS = ("p_plus2_0", "p_plus1_0", "p_zero_0", "p_minus1_0", "p_minus2_0")
 _GRID_PER_DECADE = 16
@@ -85,11 +84,10 @@ _RABI_ANGLE_FLOOR = 1e-2
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled populations: times (s), populations (n, dim), optional weights."""
+    """Sampled populations: times (s), populations (n, dim)."""
 
     times: np.ndarray
     populations: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -103,20 +101,10 @@ class TimeSeries:
             raise ValueError("times must be strictly increasing")
         if np.any(p.sum(axis=1) > 1 + 1e-6):
             raise ValueError("population rows must sum to at most 1")
-        w = self.weights
-        if w is not None:
-            w = np.asarray(w, dtype=float)
-            if w.shape != (t.size,) or not np.all(np.isfinite(w) & (w >= 0)) or not np.any(w > 0):
-                raise ValueError(
-                    "weights must be finite, non-negative, not all zero, with one entry per sample"
-                )
-            w = w.copy()
-            w.flags.writeable = False
         for a in (t, p):
             a.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "populations", p)
-        object.__setattr__(self, "weights", w)
 
     @property
     def n(self) -> int:
@@ -137,8 +125,8 @@ class FitResult:
 
 
 class _Profile:
-    """Weighted RMS residual at the best simplex weights for a fixed value
-    of the nonlinear parameter.
+    """RMS residual at the best simplex weights for a fixed value of the
+    nonlinear parameter.
 
     ``basis(x)`` returns the curves of the five basis initial states,
     shape (n, channel, initial state).
@@ -147,16 +135,12 @@ class _Profile:
     def __init__(self, data: TimeSeries, basis):
         self.basis = basis
         self.n_evals = 0
-        if data.weights is None:
-            row_w = np.ones(data.n)
-        else:
-            row_w = data.weights / np.mean(data.weights)
-        self._row_scale = np.repeat(np.sqrt(row_w), data.populations.shape[1])
-        self._target = data.populations.ravel() * self._row_scale
+        self._target = data.populations.ravel()
 
     def solve(self, x: float) -> tuple[np.ndarray, float]:
         self.n_evals += 1
-        a = self.basis(x).reshape(self._target.size, -1) * self._row_scale[:, None]
+        # nnls and a @ w round differently on the strided real part: copy
+        a = np.ascontiguousarray(self.basis(x).reshape(self._target.size, -1))
         # sum-to-one row, weighted far above the data rows
         lam = 1e3 * max(1.0, float(np.linalg.norm(a)))
         w, _ = nnls(
@@ -237,7 +221,14 @@ def _check_degenerate(data: TimeSeries) -> FitResult | None:
 
 def _require_enough_points(data: TimeSeries) -> None:
     if data.n < 2:
-        raise ValueError(f"need at least 2 samples to fit, got {data.n}")
+        raise ValueError(f"data: need at least 2 samples to fit, got {data.n}")
+
+
+def _require_delays(data: TimeSeries) -> None:
+    """At least two samples, at delays >= 0: the Ramsey and echo models' domain."""
+    _require_enough_points(data)
+    if data.times[0] < 0:
+        raise ValueError(f"data: delays must be >= 0, got {data.times[0]:.6g} s")
 
 
 def rabi_model_curve(times: np.ndarray, omega: float, weights: np.ndarray) -> np.ndarray:
@@ -275,7 +266,7 @@ def _basis_coefficients(kind: SequenceKind | None) -> np.ndarray:
     are the phase harmonics of first = V^dagger and last = V in theta.
     """
     if kind is None:
-        last = np.linalg.eigh(build_spin_system(2).jx)[1][:, ::-1]
+        last = _axis_eig(len(ZEEMAN_M) - 1, RotationAxis.X)[1][:, ::-1]
         first = last.conj().T
     else:
         first, last, _ = _dx_pair(len(ZEEMAN_M) - 1, kind)
@@ -302,20 +293,18 @@ def echo_model_curve(times, compound: float, weights: np.ndarray) -> np.ndarray:
 def fit_ramsey(data: TimeSeries, known: dict) -> FitResult:
     """Fit the gradient B1 and initial populations to a Ramsey trace.
 
-    ``known`` must provide b0 (T), sigma_z0 (m), and t_axial (K); mass (kg)
-    is optional and defaults to neon-20.  times are tau1.  The model is the
-    analytic ensemble average, so B1 enters only through its square and the
-    reported value is non-negative.  Delays must be finite and >= 0.
+    ``known`` must provide b0 (T), sigma_z0 (m), and t_axial (K) of a
+    neon-20 ensemble.  times are tau1.  The model is the analytic ensemble
+    average, so B1 enters only through its square and the reported value is
+    non-negative.  Delays must be >= 0.
     """
-    _require_enough_points(data)
-    _check_delays(data.times, 0.0)
+    _require_delays(data)
     degenerate = _check_degenerate(data)
     if degenerate is not None:
         return degenerate
     spec = EnsembleSpec(
         sigma_z0=float(known["sigma_z0"]),
         t_axial=float(known["t_axial"]),
-        mass=float(known.get("mass", CONSTANTS.mass_ne20)),
         n_samples=1,
     )
     # the carrier does not depend on B1 and the variance scales as B1^2
@@ -328,7 +317,7 @@ def fit_ramsey(data: TimeSeries, known: dict) -> FitResult:
     )
     spread_unit = math.sqrt(float(var_unit[-1]))
     if not spread_unit > 0:
-        raise ValueError("the last delay must be positive to resolve B1")
+        raise ValueError("data: the last delay must be positive to resolve B1")
     lo, hi = (s / spread_unit for s in _PHASE_SPREAD_BOUNDS)
     return _varpro_fit(
         data,
@@ -344,24 +333,20 @@ def fit_echo(data: TimeSeries, known: dict) -> FitResult:
 
     The tau^4 envelope fixes only c; params always report "compound" (units
     s^-4) and additionally b1 when known supplies t_axial, or t_axial when
-    known supplies b1; ``known`` must supply exactly one of the two, and
-    may supply mass (kg, default neon-20).  Every other key is ignored: B0
-    and sigma_z0 drop out at tau1 = tau2.  Delays must be finite and >= 0.
+    known supplies b1; ``known`` must supply exactly one of the two, and m
+    is the neon-20 mass.  Every other key is ignored: B0 and sigma_z0 drop
+    out at tau1 = tau2.  Delays must be >= 0.
     """
-    _require_enough_points(data)
     if ("t_axial" in known) == ("b1" in known):
         given = "both" if "b1" in known else "neither"
         raise ValueError(f"t_axial, b1: exactly one of t_axial or b1 must be given, got {given}")
-    _check_delays(data.times, data.times)
+    _require_delays(data)
     degenerate = _check_degenerate(data)
     if degenerate is not None:
         return degenerate
-    mass = float(known.get("mass", CONSTANTS.mass_ne20))
 
     t = data.times
-    t_last = float(t[-1])
-    if not t_last > 0:
-        raise ValueError("the last delay must be positive to resolve the compound parameter")
+    t_last = float(t[-1])  # > 0: at least two increasing delays, none negative
     # phase spread sqrt(c) tau^2 at the last delay
     lo, hi = (s**2 / t_last**4 for s in _PHASE_SPREAD_BOUNDS)
     result = _varpro_fit(
@@ -374,8 +359,8 @@ def fit_echo(data: TimeSeries, known: dict) -> FitResult:
     compound = result.params["compound"]
     if "t_axial" in known:
         k_t = CONSTANTS.k_b * float(known["t_axial"])
-        result.params["b1"] = math.sqrt(compound * mass / k_t) / CONSTANTS.gamma
+        result.params["b1"] = math.sqrt(compound * CONSTANTS.mass_ne20 / k_t) / CONSTANTS.gamma
     else:
-        b1 = float(known["b1"])
-        result.params["t_axial"] = compound * mass / (CONSTANTS.k_b * (CONSTANTS.gamma * b1) ** 2)
+        gamma_b1 = CONSTANTS.gamma * float(known["b1"])
+        result.params["t_axial"] = compound * CONSTANTS.mass_ne20 / (CONSTANTS.k_b * gamma_b1**2)
     return result

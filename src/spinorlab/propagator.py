@@ -80,7 +80,7 @@ class FieldConfig:
     b0: float = 0.0  # bias field, T
     b1: float = 0.0  # gradient along z, T/m
     omega_rf: float = 0.0  # drive frequency, rad/s
-    omega_rabi: float | None = None  # rad/s
+    omega_rabi: float = 0.0  # rad/s
     omega0: float | None = None  # resonance frequency, rad/s
 
     def __post_init__(self):
@@ -90,12 +90,6 @@ class FieldConfig:
                 raise ValueError(f"{name} must be finite")
         if self.b0 < 0:
             raise ValueError("b0 must be >= 0")
-
-    @property
-    def rabi(self) -> float:
-        if self.omega_rabi is not None:
-            return float(self.omega_rabi)
-        return 0.0
 
     @property
     def resonance(self) -> float:
@@ -142,7 +136,7 @@ def _hamiltonian(spec: HamiltonianSpec, ops):
     H is static) and top is its fastest angular frequency scale."""
     w0 = spec.field.resonance
     w = spec.field.omega_rf
-    rabi = spec.field.rabi
+    rabi = spec.field.omega_rabi
     jx, jy, jz = ops
     kind = spec.kind
 
@@ -232,8 +226,8 @@ def _evolve(spec: HamiltonianSpec, ops, psi0: np.ndarray, times, tol: float, obs
     if tol <= 0:
         raise ValueError("tol must be positive")
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) < 0):
-        raise ValueError("times must be a non-decreasing 1-d array")
+    if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) < 0):
+        raise ValueError("times must be a non-empty, non-decreasing 1-d array")
     h_of_t, period, top = _hamiltonian(spec, ops)
     if not np.all(np.isfinite(h_of_t(times[[0, -1]]))):
         raise NumericalError("Hamiltonian has non-finite entries")

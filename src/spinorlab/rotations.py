@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -38,34 +37,23 @@ class Angle:
 
 
 @lru_cache(maxsize=None)
-def _transverse_eig(two_j: int, axis: RotationAxis):
+def _axis_eig(two_j: int, axis: RotationAxis):
+    """Eigenpairs (w, V) of J_axis = V diag(w) V^dagger: eigh for Jx, Jy; (m, I) for Jz."""
     sys = build_spin_system(two_j / 2)
-    op = {RotationAxis.X: sys.jx, RotationAxis.Y: sys.jy}[axis]
-    w, v = np.linalg.eigh(op)
+    if axis is RotationAxis.Z:
+        w, v = sys.m_values, np.eye(sys.dim)
+    else:
+        w, v = np.linalg.eigh({RotationAxis.X: sys.jx, RotationAxis.Y: sys.jy}[axis])
+    w.flags.writeable = v.flags.writeable = False  # shared by every caller through the cache
     return w, v
 
 
 def rotation_operator(sys: SpinSystem, axis: RotationAxis, angle) -> np.ndarray:
-    """Unitary exp(-i * angle * J_axis) in the m = +J ... -J basis."""
-    theta = float(angle)
-    if axis is RotationAxis.Z:
-        return np.diag(np.exp(-1j * theta * sys.m_values))
-    w, v = _transverse_eig(round(2 * sys.j), axis)
-    return (v * np.exp(-1j * theta * w)) @ v.conj().T
-
-
-def rotation_operators(sys: SpinSystem, axis: RotationAxis, angles: np.ndarray) -> np.ndarray:
-    """Stack of rotation operators, shape (len(angles), dim, dim)."""
-    thetas = np.asarray(angles, dtype=float)
-    if axis is RotationAxis.Z:
-        phases = np.exp(-1j * np.multiply.outer(thetas, sys.m_values))
-        out = np.zeros(thetas.shape + (sys.dim, sys.dim), complex)
-        idx = np.arange(sys.dim)
-        out[..., idx, idx] = phases
-        return out
-    w, v = _transverse_eig(round(2 * sys.j), axis)
-    phases = np.exp(-1j * np.multiply.outer(thetas, w))
-    return np.einsum("ik,...k,jk->...ij", v, phases, v.conj())
+    """Unitary exp(-i * angle * J_axis) in the m = +J ... -J basis; an array
+    of angles gives the stack of operators, shape angle.shape + (dim, dim)."""
+    w, v = _axis_eig(round(2 * sys.j), axis)
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(angle, dtype=float), w))
+    return (v * phases[..., None, :]) @ v.conj().T
 
 
 def _columns_from_plus2(theta):
@@ -154,26 +142,15 @@ def two_level_population(t: float, omega: float, p2_0: float, p1_0: float):
     return p2, (p2_0 + p1_0) - p2
 
 
-_EQUILIBRIUM_J2 = (
-    Fraction(35, 128),
-    Fraction(5, 32),
-    Fraction(9, 64),
-    Fraction(5, 32),
-    Fraction(35, 128),
-)
-
-
 def equilibrium_populations(sys: SpinSystem) -> Populations:
     """Populations after a pi/2 pulse, a uniformly random z phase, and a
     second pi/2 pulse, starting from the stretched state |+J>.
 
     This is the long-time limit of a dephased Ramsey sequence.  Averaging
     |<m| Dx(pi/2) Dz(phi) Dx(pi/2) |+J>|^2 over phi kills all cross terms,
-    leaving sum_k |Dx[m,k]|^2 |(Dx e_J)[k]|^2, which is evaluated exactly.
+    leaving sum_k |Dx[m,k]|^2 |(Dx e_J)[k]|^2, which is evaluated directly.
     For j=2 the result is (35/128, 5/32, 9/64, 5/32, 35/128).
     """
-    if round(2 * sys.j) == 4:
-        return Populations(np.array([float(x) for x in _EQUILIBRIUM_J2]))
     dx = rotation_operator(sys, RotationAxis.X, math.pi / 2)
     after_first = np.abs(dx[:, 0]) ** 2
     return Populations((np.abs(dx) ** 2) @ after_first)

@@ -14,7 +14,8 @@ Hamiltonian is
            + sum over legs  cg_leg * Omega_beam(t) (|a><b| + |b><a|)
 
 with d2 the two-photon detuning per Raman step.  The coupling element of a
-leg is cg_leg * Omega_beam(t) with the Condon-Shortley coefficient cg_leg;
+leg is cg_leg * Omega_beam(t) with the Condon-Shortley coefficient cg_leg
+(``PUMP_CG`` and ``STOKES_CG``, from ``core.clebsch_gordan``);
 Omega_P/ Omega_S are the per-beam envelope amplitudes returned by
 ``pulse_envelopes``.  The physical CG ratios are what produce the
 3:6:2 weights of the fractional-STIRAP dark state, so they must not be
@@ -29,10 +30,9 @@ nonadiabatic leakage in the Gaussian tails, not a normalization slip.
 Excited-state decay is modeled non-Hermitianly: the lost norm is the loss
 fraction, no repopulation.
 
-The Clebsch-Gordan factors come from ``core.clebsch_gordan``.  Every solve
-is one ``_integrate`` call (DOP853 over the pulse window, from |+2> unless
-a state is given, with the pulse-area warning); ``simulate_stirap`` and
-``stirap_trace`` only post-process it.
+Every solve is one ``_integrate`` call (DOP853 over the pulse window, from
+|+2>, with the pulse-area warning); ``simulate_stirap`` and ``stirap_trace``
+only post-process it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -54,24 +53,9 @@ class NonAdiabaticPulseWarning(UserWarning):
     """Pulse area too small for adiabatic passage (diagnostic only)."""
 
 
-@dataclass(frozen=True)
-class ChainCouplings:
-    """Clebsch-Gordan factors of the four chain legs.
-
-    pump_cg:   (|+2> -> |e2>, |+1> -> |e1>)  pi transitions, J=2 -> J'=2
-    stokes_cg: (|+1> -> |e2>, |0> -> |e1>)   sigma+ transitions
-    """
-
-    pump_cg: tuple[float, float]
-    stokes_cg: tuple[float, float]
-
-
-@lru_cache(maxsize=1)
-def physical_chain_couplings() -> ChainCouplings:
-    pump = (clebsch_gordan(2, 2, 1, 0, 2, 2), clebsch_gordan(2, 1, 1, 0, 2, 1))
-    stokes = (clebsch_gordan(2, 1, 1, 1, 2, 2), clebsch_gordan(2, 0, 1, 1, 2, 1))
-    assert clebsch_gordan(2, 0, 1, 0, 2, 0) == 0.0  # the chain must end at |0>
-    return ChainCouplings(pump_cg=pump, stokes_cg=stokes)
+# Clebsch-Gordan factors of the pump and Stokes legs, in the module docstring's order
+PUMP_CG = (clebsch_gordan(2, 2, 1, 0, 2, 2), clebsch_gordan(2, 1, 1, 0, 2, 1))
+STOKES_CG = (clebsch_gordan(2, 1, 1, 1, 2, 2), clebsch_gordan(2, 0, 1, 1, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -139,16 +123,15 @@ def fstirap_populations_closed(eta: float) -> Populations:
 def dark_state(eta: float) -> StateVector:
     """Asymptotic (t -> +inf) dark state of the chain for pulse ratio eta.
 
-    Zero amplitude on both excited states; with the physical couplings of
-    :func:`physical_chain_couplings` its populations reproduce
+    Zero amplitude on both excited states; with the physical couplings
+    PUMP_CG and STOKES_CG its populations reproduce
     :func:`fstirap_populations_closed`.  Written in a form regular at
     eta = 0, where it reduces to |0>.
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    cc = physical_chain_couplings()
-    a1, a2 = cc.pump_cg
-    b1, b2 = cc.stokes_cg
+    a1, a2 = PUMP_CG
+    b1, b2 = STOKES_CG
     amps = np.array(
         [eta**2, 0.0, -eta * a1 / b1, 0.0, a1 * a2 / (b1 * b2)], dtype=complex
     )
@@ -157,7 +140,6 @@ def dark_state(eta: float) -> StateVector:
 
 def chain_hamiltonian(p: StirapParams, omega_pump: float, omega_stokes: float) -> np.ndarray:
     """Instantaneous chain Hamiltonian for given beam amplitudes (rad/s)."""
-    cc = physical_chain_couplings()
     d2 = p.two_photon_detuning
     delta = p.detuning
     h = np.zeros((5, 5), complex)
@@ -165,10 +147,10 @@ def chain_hamiltonian(p: StirapParams, omega_pump: float, omega_stokes: float) -
     h[2, 2] = -d2
     h[3, 3] = -delta - d2 - 0.5j * p.gamma_e
     h[4, 4] = -2 * d2
-    h[0, 1] = h[1, 0] = cc.pump_cg[0] * omega_pump
-    h[2, 3] = h[3, 2] = cc.pump_cg[1] * omega_pump
-    h[1, 2] = h[2, 1] = cc.stokes_cg[0] * omega_stokes
-    h[3, 4] = h[4, 3] = cc.stokes_cg[1] * omega_stokes
+    h[0, 1] = h[1, 0] = PUMP_CG[0] * omega_pump
+    h[2, 3] = h[3, 2] = PUMP_CG[1] * omega_pump
+    h[1, 2] = h[2, 1] = STOKES_CG[0] * omega_stokes
+    h[3, 4] = h[4, 3] = STOKES_CG[1] * omega_stokes
     return h
 
 
@@ -176,16 +158,15 @@ def _window(p: StirapParams) -> tuple[float, float]:
     return (min(0.0, p.delta_t) - 4 * p.tau_pulse, max(0.0, p.delta_t) + 4 * p.tau_pulse)
 
 
-def _integrate(p: StirapParams, initial: StateVector | None, t_eval=None):
-    """DOP853 solve through the window of ``p``, from |+2> unless ``initial``
-    is given; owns the nonadiabatic warning, aimed at the public caller."""
+def _integrate(p: StirapParams, t_eval=None):
+    """DOP853 solve through the window of ``p`` from |+2>; owns the
+    nonadiabatic warning, aimed at the public caller."""
     if p.omega0_peak * p.tau_pulse < 10:
         warnings.warn(
             "pulse area omega0_peak * tau_pulse < 10; transfer may be non-adiabatic",
             NonAdiabaticPulseWarning,
             stacklevel=3,
         )
-    y0 = initial.amplitudes if initial is not None else np.eye(5, dtype=complex)[0]
     # H(t) = H0 + Omega_P(t) H_P + Omega_S(t) H_S, with -i folded in
     h0 = chain_hamiltonian(p, 0.0, 0.0)
     a0 = -1j * h0
@@ -205,7 +186,7 @@ def _integrate(p: StirapParams, initial: StateVector | None, t_eval=None):
     sol = solve_ivp(
         rhs,
         _window(p),
-        np.asarray(y0, dtype=complex),
+        np.eye(5, dtype=complex)[0],
         method="DOP853",
         rtol=1e-10,
         atol=1e-12,
@@ -217,29 +198,25 @@ def _integrate(p: StirapParams, initial: StateVector | None, t_eval=None):
     return sol
 
 
-def simulate_stirap(
-    p: StirapParams, initial: StateVector | None = None
-) -> tuple[StateVector, float]:
-    """Propagate the chain through the pulse pair.
+def simulate_stirap(p: StirapParams) -> tuple[StateVector, float]:
+    """Propagate the chain from |+2> through the pulse pair.
 
     Returns the final state (normalized) and the survival probability, i.e.
     the squared norm remaining when gamma_e > 0 (1.0 when lossless).
     """
-    yf = _integrate(p, initial).y[:, -1]
+    yf = _integrate(p).y[:, -1]
     survival = min(float(np.sum(np.abs(yf) ** 2)), 1.0)
     return StateVector.normalized(yf), survival
 
 
-def stirap_trace(
-    p: StirapParams, initial: StateVector | None = None, n_points: int = 200
-):
-    """Time trace through the pulse pair.
+def stirap_trace(p: StirapParams, n_points: int = 200):
+    """Time trace from |+2> through the pulse pair.
 
     Returns (times, populations (n,5) in chain order, survival (n,)).
     Populations are relative to the surviving norm.
     """
     times = np.linspace(*_window(p), n_points)
-    raw = np.abs(_integrate(p, initial, t_eval=times).y.T) ** 2
+    raw = np.abs(_integrate(p, t_eval=times).y.T) ** 2
     survival = np.minimum(raw.sum(axis=1), 1.0)
     pops = raw / raw.sum(axis=1, keepdims=True)
     return times, pops, survival

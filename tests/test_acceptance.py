@@ -45,7 +45,7 @@ from spinorlab.propagator import (
 from spinorlab.rotations import (
     RotationAxis,
     equilibrium_populations,
-    rotation_operators,
+    rotation_operator,
     rotation_population_curve,
     two_level_population,
 )
@@ -77,7 +77,7 @@ def mixture_closed(weights, thetas):
 def test_criterion_1_closed_forms_match_rotations():
     start = time.perf_counter()
     thetas = np.linspace(0, 4 * math.pi, 401)
-    ops = rotation_operators(SYS2, RotationAxis.X, thetas)
+    ops = rotation_operator(SYS2, RotationAxis.X, thetas)
     worst = 0.0
     for m0 in (2, 1, 0):
         exact = np.abs(ops @ zeeman_state(2, m0).amplitudes) ** 2
@@ -99,10 +99,10 @@ def test_criterion_2_resonant_rabi_regime():
     )
     rwa = HamiltonianSpec(HamiltonianKind.ROT_RWA, cfg)
     lab = HamiltonianSpec(HamiltonianKind.LAB_FULL, cfg)
-    period = 2 * TWO_PI / cfg.rabi  # theta: 0 -> 2 pi
+    period = 2 * TWO_PI / cfg.omega_rabi  # theta: 0 -> 2 pi
     times = np.linspace(0.0, period, 401)
     p_rwa = mixture_trace(rwa, weights, times, tol=1e-10)
-    model = mixture_closed(weights, 0.5 * cfg.rabi * times)
+    model = mixture_closed(weights, 0.5 * cfg.omega_rabi * times)
     dev_model = float(np.max(np.abs(p_rwa - model)))
     p_lab = mixture_trace(lab, weights, times, tol=1e-8)
     dev_rwa = float(np.max(np.abs(p_lab - p_rwa)))

@@ -224,6 +224,51 @@ def test_non_finite_number_exits_one(tmp_path, capsys, text, key):
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
 
+ENSEMBLE = "b0: 179 mG\nb1: 4.5 mG/mm\nsigma_z0: 0.73 mm\nt_axial: 0.2 mK\npoints: 5\n"
+RABI_KEYS = "omega0: 800 kHz\nomega_rabi: 95 kHz\n"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("scenario: rabi\nduration: -10 us\npoints: 5\n" + RABI_KEYS, "duration"),
+        ("scenario: rabi-lab\nduration: -10 us\npoints: 5\n" + RABI_KEYS, "duration"),
+        ("scenario: two-level\nduration: -10 us\npoints: 5\n" + RABI_KEYS, "duration"),
+        ("scenario: ramsey\ntau_max: -40 us\n" + ENSEMBLE, "tau_max"),
+        ("scenario: echo\ntau1: 25 us\ntau2_max: -40 us\n" + ENSEMBLE, "tau2_max"),
+        ("scenario: echo\ntau1: -5 us\ntau2_max: 40 us\n" + ENSEMBLE, "tau1"),
+        ("scenario: echo-scan\ntau_sum_max: -40 us\n" + ENSEMBLE, "tau_sum_max"),
+        ("scenario: fstirap-scan\n" + STIRAP_PULSES + "eta_max: 1\neta_min: -1\n", "eta_min"),
+        ("scenario: fstirap-scan\n" + STIRAP_PULSES + "eta_max: -1\n", "eta_max"),
+        ("scenario: stirap\n" + STIRAP_PULSES + "eta: -1\n", "eta"),
+    ],
+    ids=[
+        "rabi",
+        "rabi-lab",
+        "two-level",
+        "ramsey",
+        "echo",
+        "echo-tau1",
+        "echo-scan",
+        "eta_min",
+        "eta_max",
+        "eta",
+    ],
+)
+def test_negative_span_exits_one_naming_its_key(tmp_path, capsys, text, key):
+    cfg = write_config(tmp_path, "bad.yaml", text)
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key}: must lie in [0, inf]")
+
+
+@pytest.mark.parametrize("scenario", ["rabi", "rabi-lab", "two-level"])
+def test_rabi_with_one_point_writes_the_initial_state(tmp_path, scenario):
+    text = f"scenario: {scenario}\nduration: 10 us\npoints: 1\n" + RABI_KEYS
+    cfg, out = write_config(tmp_path, "one.yaml", text), tmp_path / "one.csv"
+    assert run_cli(["run", cfg, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[1:] == ["0,1,0,0,0,0"]
+
+
 @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--seed", "-1")])
 def test_bad_override_flag_exits_one_naming_it(tmp_path, capsys, flag, value):
     cfg = write_config(
@@ -346,7 +391,7 @@ ECHO_TRACE = (
 
 @pytest.mark.parametrize(
     "t0, p, named",
-    [("-100", "0.1", "tau1"), ("nan", "0.1", "times"), ("1", "inf", "populations")],
+    [("-100", "0.1", "delays"), ("nan", "0.1", "times"), ("1", "inf", "populations")],
 )
 def test_fit_echo_bad_trace_exits_one(tmp_path, capsys, t0, p, named):
     data_csv = tmp_path / "echo.csv"
@@ -357,7 +402,26 @@ def test_fit_echo_bad_trace_exits_one(tmp_path, capsys, t0, p, named):
         f"scenario: fit-echo\ndata: {data_csv}\nsigma_z0: 0.73 mm\nt_axial: 0.2 mK\n",
     )
     assert run_cli(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 1
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: data: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "scenario, rows, message",
+    [
+        ("fit-rabi", "1,1,0,0,0,0\n1,0.9,0.1,0,0,0\n", "times must be strictly increasing"),
+        ("fit-rabi", "1,1,0,0,0,0\n", "need at least 2 samples to fit, got 1"),
+        ("fit-ramsey", "-1,1,0,0,0,0\n1,0.9,0.1,0,0,0\n", "delays must be >= 0"),
+    ],
+    ids=["repeated-time", "one-row", "negative-delay"],
+)
+def test_bad_data_file_names_data(tmp_path, capsys, scenario, rows, message):
+    data_csv = tmp_path / "trace.csv"
+    data_csv.write_text("t_us,p_p2,p_p1,p_0,p_m1,p_m2\n" + rows, encoding="utf-8")
+    known = "b0: 179 mG\nsigma_z0: 0.73 mm\nt_axial: 0.2 mK\n" if scenario == "fit-ramsey" else ""
+    cfg = write_config(tmp_path, "fit.yaml", f"scenario: {scenario}\ndata: {data_csv}\n{known}")
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: data: {message}")
 
 
 def test_fit_echo_needs_no_sigma_z0_and_rejects_b0(tmp_path, capsys):

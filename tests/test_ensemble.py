@@ -152,7 +152,7 @@ def test_echo_envelope_reduces_to_quartic_law():
     field = ECHO_FIELD
     for tau in (20e-6, 80e-6, 140e-6):
         direct = echo_envelope(field, THERMAL, tau, tau)
-        var_rate = (CONSTANTS.gamma * field.b1) ** 2 * CONSTANTS.k_b * THERMAL.t_axial / THERMAL.mass
+        var_rate = (CONSTANTS.gamma * field.b1) ** 2 * CONSTANTS.k_b * THERMAL.t_axial / CONSTANTS.mass_ne20
         assert direct == pytest.approx(math.exp(-0.5 * var_rate * tau**4), rel=1e-12)
 
 
@@ -178,7 +178,7 @@ def test_sequence_timing_validation(monkeypatch):
         ensemble_average_curve(ECHO_FIELD, THERMAL, SequenceKind.ECHO, 25e-6)
     with pytest.raises(ValueError):
         EnsembleSpec(sigma_z0=0.0, t_axial=1e-3)
-    for name in ("sigma_z0", "t_axial", "mass"):
+    for name in ("sigma_z0", "t_axial"):
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
                 EnsembleSpec(**{"sigma_z0": 1e-3, "t_axial": 1e-3, name: bad})

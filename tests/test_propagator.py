@@ -209,7 +209,7 @@ def test_one_period_rule_matches_runge_kutta_oracle(kind, t0):
     )
     weights = np.array([0.5, 0.3, 0.0, 0.2, 0.0])
     columns = np.eye(5)[:, weights > 0]
-    oracle = rf_populations(frame, cfg.resonance, cfg.omega_rf, cfg.rabi, shifts, columns, times)
+    oracle = rf_populations(frame, cfg.resonance, cfg.omega_rf, cfg.omega_rabi, shifts, columns, times)
     expected = oracle @ weights[weights > 0]
     got = evolve_populations(Populations(weights), spec, times, tol=1e-10)
     assert np.max(np.abs(got - expected)) < 1e-8
@@ -233,7 +233,7 @@ def test_static_frames_match_closed_form_rotation(kind, cfg, rate):
     times[0] = t0
     weights = np.array([0.1, 0.4, 0.2, 0.0, 0.3])
     got = evolve_populations(Populations(weights), HamiltonianSpec(kind, cfg), times)
-    theta = rate * cfg.rabi * (times - t0)
+    theta = rate * cfg.omega_rabi * (times - t0)
     closed = sum(w * rotation_population_curve(m, theta) for w, m in zip(weights, ZEEMAN_M))
     assert np.max(np.abs(got - closed)) < 1e-12
 
@@ -291,7 +291,7 @@ def test_rwa_deviation_bounded_by_frequency_ratio(ratio):
     )
     lab = HamiltonianSpec(HamiltonianKind.LAB_FULL, cfg)
     rwa = HamiltonianSpec(HamiltonianKind.ROT_RWA, cfg)
-    times = np.linspace(0.0, 2 * TWO_PI / cfg.rabi, 301)  # one population period
+    times = np.linspace(0.0, 2 * TWO_PI / cfg.omega_rabi, 301)  # one population period
     state = zeeman_state(2, 2)
     p_lab = evolve_populations(state, lab, times, tol=1e-7)
     p_rwa = evolve_populations(state, rwa, times, tol=1e-9)
@@ -309,7 +309,7 @@ def test_classical_quarter_turn_convention():
     # resonant RWA: J precesses about +x, taking +z toward -y
     cfg = resonant(800, 100)
     spec = HamiltonianSpec(HamiltonianKind.ROT_RWA, cfg)
-    t_quarter = (math.pi / 2) / (0.5 * cfg.rabi)
+    t_quarter = (math.pi / 2) / (0.5 * cfg.omega_rabi)
     spun = evolve_classical(ClassicalSpin(0, 0, 2), spec, 0.0, t_quarter, tol=1e-10)
     assert np.allclose(spun.vector, [0, -2, 0], atol=1e-8)
     assert spun.magnitude() == pytest.approx(2.0, abs=1e-12)

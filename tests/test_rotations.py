@@ -13,7 +13,6 @@ from spinorlab.rotations import (
     apply_rotation,
     equilibrium_populations,
     rotation_operator,
-    rotation_operators,
     rotation_population_curve,
     rotation_populations,
     two_level_population,
@@ -76,11 +75,27 @@ def test_periodicity_integer_and_half_integer_spin():
 def test_closed_forms_match_matrix_rotation(initial_m):
     thetas = np.linspace(0, 4 * math.pi, 401)
     closed = rotation_population_curve(initial_m, thetas)
-    ops = rotation_operators(SYS2, RotationAxis.X, thetas)
+    ops = rotation_operator(SYS2, RotationAxis.X, thetas)
     amps = ops @ zeeman_state(2, initial_m).amplitudes
     exact = np.abs(amps) ** 2
     assert np.max(np.abs(closed - exact)) < 1e-10
     assert np.max(np.abs(closed.sum(axis=1) - 1)) < 1e-12
+
+
+@pytest.mark.parametrize("axis", list(RotationAxis))
+def test_array_of_angles_is_the_stack_of_scalar_calls(axis):
+    thetas = np.linspace(-4 * math.pi, 4 * math.pi, 36).reshape(4, 9)
+    stack = rotation_operator(SYS2, axis, thetas)
+    assert stack.shape == (4, 9, 5, 5)
+    singles = [[rotation_operator(SYS2, axis, t) for t in row] for row in thetas]
+    assert np.array_equal(stack, np.array(singles))
+
+
+def test_z_rotation_is_exactly_diagonal_and_takes_an_angle():
+    d = rotation_operator(SYS2, RotationAxis.Z, Angle(0.7))
+    assert np.array_equal(d, np.diag(np.diag(d)))
+    assert np.array_equal(np.diag(d), np.exp(-1j * 0.7 * SYS2.m_values))
+    assert np.array_equal(d, rotation_operator(SYS2, RotationAxis.Z, 0.7))
 
 
 def test_closed_form_spot_values():

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import ladder_cg_table
-from spinorlab.core import StateVector
 from spinorlab.stirap import (
+    PUMP_CG,
+    STOKES_CG,
     NonAdiabaticPulseWarning,
     StirapParams,
     chain_hamiltonian,
@@ -16,7 +17,6 @@ from spinorlab.stirap import (
     clebsch_gordan,
     dark_state,
     fstirap_populations_closed,
-    physical_chain_couplings,
     pulse_envelopes,
     simulate_stirap,
     stirap_trace,
@@ -89,11 +89,12 @@ def test_cg_rows_are_orthonormal():
 
 
 def test_physical_couplings_values():
-    cc = physical_chain_couplings()
-    assert cc.pump_cg[0] == pytest.approx(2 / math.sqrt(6), abs=1e-14)
-    assert cc.pump_cg[1] == pytest.approx(1 / math.sqrt(6), abs=1e-14)
-    assert cc.stokes_cg[0] == pytest.approx(-1 / math.sqrt(3), abs=1e-14)
-    assert cc.stokes_cg[1] == pytest.approx(-1 / math.sqrt(2), abs=1e-14)
+    assert PUMP_CG[0] == pytest.approx(2 / math.sqrt(6), abs=1e-14)
+    assert PUMP_CG[1] == pytest.approx(1 / math.sqrt(6), abs=1e-14)
+    assert STOKES_CG[0] == pytest.approx(-1 / math.sqrt(3), abs=1e-14)
+    assert STOKES_CG[1] == pytest.approx(-1 / math.sqrt(2), abs=1e-14)
+    # the pi transition m = 0 -> m' = 0 is forbidden, so the chain ends at |0>
+    assert clebsch_gordan(2, 0, 1, 0, 2, 0) == 0.0
 
 
 # ------------------------------------------------------------------- pulses
@@ -252,11 +253,3 @@ def test_trace_shapes_and_survival():
     assert np.allclose(pops.sum(axis=1), 1.0, atol=1e-9)
     assert np.allclose(survival, 1.0, atol=1e-9)
     assert pops[0, 0] > 0.999 and pops[-1, 4] > 0.99
-
-
-def test_custom_initial_state_matches_default():
-    explicit = StateVector(np.array([1.0, 0, 0, 0, 0], complex))
-    final_default, _ = simulate_stirap(paper_pulses())
-    final_explicit, survival = simulate_stirap(paper_pulses(), initial=explicit)
-    assert survival == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(final_default.amplitudes, final_explicit.amplitudes)
