@@ -248,7 +248,10 @@ def _load_timeseries(key: str, path: str) -> fit.TimeSeries:
             header = fh.readline().strip()
             delim = "\t" if "\t" in header else ","
             names = header.split(delim)
-            data = np.atleast_2d(np.loadtxt(fh, delimiter=delim))
+            rows = fh.readlines()
+            if not any(line.partition("#")[0].strip() for line in rows):
+                raise ConfigError(f"{key}: no data rows in {path!r}")
+            data = np.loadtxt(rows, delimiter=delim, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"{key}: cannot read data file {path!r} ({exc})") from exc
     except ValueError as exc:

@@ -34,13 +34,13 @@ with f_k[m] = sum_a L[m,a] conj(L[m,a-k]) u_a conj(u_{a-k}).  The
 analytic sum over harmonics is one (timing, harmonic) x (harmonic, column)
 matrix product of the damped carriers e^{i k a - k^2 var / 2} with the f_k
 (``_harmonic_sum``); the fits evaluate every model curve through it.  The
-Monte Carlo path samples (z0, vz) directly and must agree with the analytic
-path within statistics; it is the cross-check for the harmonic
-generalization.  It draws each batch of samples once per curve and
-evaluates it at every timing and for every column.  Both paths are linear
-in an initial Populations, an incoherent mixture of the Zeeman basis
-states, so one set of harmonics, or of Monte Carlo draws, serves all the
-basis states of a mixture.
+Monte Carlo path samples (z0, vz), draws each batch once per curve, and
+sums e^{i k phi} over the draws at every timing: the series is linear in
+e^{i k phi}, so their mean applied to the same f_k is the sample mean of
+the populations, within statistics of the analytic path.  The explicit
+product of ``single_atom_sequence`` cross-checks the harmonics.  Both
+paths are linear in an initial Populations, an incoherent mixture of the
+Zeeman basis states, so one set of f_k serves a whole mixture.
 """
 
 from __future__ import annotations
@@ -163,22 +163,11 @@ def _dx_pair(two_j: int, kind: SequenceKind):
 
 
 def single_atom_sequence(initial: StateVector, kind: SequenceKind, phi) -> Populations:
-    """Populations after the ideal pulse sequence with net z phase phi."""
-    p = _population_sums(initial.amplitudes[:, None], kind, np.array([float(phi)]))[:, 0]
+    """Populations after the ideal pulse sequence with net z phase phi: the
+    explicit product Dx_last Dz(phi) Dx_first that the harmonics are tested on."""
+    dx_first, dx_last, m = _dx_pair(initial.amplitudes.size - 1, kind)
+    p = np.abs(dx_last @ (np.exp(-1j * float(phi) * m) * (dx_first @ initial.amplitudes))) ** 2
     return Populations(p / p.sum())
-
-
-def _population_sums(columns: np.ndarray, kind: SequenceKind, phis: np.ndarray) -> np.ndarray:
-    """Populations summed over a batch of phases for each amplitude column,
-    shape (dim, column).  The phase factors are built once for all columns;
-    the columns are evaluated one at a time, so memory stays one batch."""
-    dx_first, dx_last, m = _dx_pair(columns.shape[0] - 1, kind)
-    phases = np.exp(-1j * np.multiply.outer(phis, m))  # (n, dim)
-    sums = np.empty(columns.shape)
-    for c in range(columns.shape[1]):
-        amp = phases * (dx_first @ columns[:, c])[None, :] @ dx_last.T
-        sums[:, c] = (np.abs(amp) ** 2).sum(axis=0)
-    return sums
 
 
 def _phase_harmonics(first: np.ndarray, last: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -290,26 +279,30 @@ def ensemble_average_curve(
         t2 = np.zeros_like(t1)
     _check_delays(t1, t2)
     columns, weights = mixture_columns(initial)
+    dx_first, dx_last, _ = _dx_pair(columns.shape[0] - 1, kind)
+    coeffs = _phase_harmonics(dx_first, dx_last, columns) @ weights
     if method is AverageMethod.ANALYTIC:
-        dx_first, dx_last, _ = _dx_pair(columns.shape[0] - 1, kind)
         a, var = _carrier_and_variance(field, spec, kind, t1, t2)
-        return _harmonic_sum(a, var, _phase_harmonics(dx_first, dx_last, columns) @ weights)
+        return _harmonic_sum(a, var, coeffs)
     # Monte Carlo: batch i draws from the i-th child of SeedSequence(seed) and
-    # each timing adds its batch sums in batch order, so the result is
-    # bit-identical for a given (seed, n_samples) and timing
+    # each timing adds its batch sums of e^{i k phi} in batch order, so the
+    # result is bit-identical for a given (seed, n_samples) and timing
     if spec.n_samples < 100:
         warnings.warn(
             f"n_samples={spec.n_samples} gives a high-variance Monte Carlo average",
             UserWarning,
             stacklevel=2,
         )
+    k = np.arange(coeffs.shape[0])
     n_batches = math.ceil(spec.n_samples / _MC_BATCH)
-    total = np.zeros((t1.size, *columns.shape))
+    terms = np.zeros((t1.size, k.size), dtype=complex)
     for i, child in enumerate(np.random.SeedSequence(spec.seed).spawn(n_batches)):
         size = min(_MC_BATCH, spec.n_samples - i * _MC_BATCH)
         rng = np.random.default_rng(child)
         z0 = rng.normal(0.0, spec.sigma_z0, size)
         vz = rng.normal(0.0, spec.sigma_vz, size)
-        for row, a, b in zip(total, t1, t2):
-            row += _population_sums(columns, kind, _phase(field, kind, z0, vz, a, b))
-    return total / spec.n_samples @ weights
+        for row, a, b in zip(terms, t1, t2):
+            row += np.exp(1j * np.multiply.outer(_phase(field, kind, z0, vz, a, b), k)).sum(axis=0)
+    terms[:, 1:] *= 2
+    # einsum, not @, so that each row equals its timing averaged alone
+    return np.einsum("tk,kc->tc", terms / spec.n_samples, coeffs).real

@@ -412,8 +412,10 @@ def test_fit_echo_bad_trace_exits_one(tmp_path, capsys, t0, p, named):
         ("fit-rabi", "1,1,0,0,0,0\n1,0.9,0.1,0,0,0\n", "times must be strictly increasing"),
         ("fit-rabi", "1,1,0,0,0,0\n", "need at least 2 samples to fit, got 1"),
         ("fit-ramsey", "-1,1,0,0,0,0\n1,0.9,0.1,0,0,0\n", "delays must be >= 0"),
+        ("fit-rabi", "", "no data rows"),
+        ("fit-rabi", "\n# no samples\n", "no data rows"),
     ],
-    ids=["repeated-time", "one-row", "negative-delay"],
+    ids=["repeated-time", "one-row", "negative-delay", "header-only", "comments-only"],
 )
 def test_bad_data_file_names_data(tmp_path, capsys, scenario, rows, message):
     data_csv = tmp_path / "trace.csv"

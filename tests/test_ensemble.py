@@ -189,7 +189,7 @@ def test_sequence_timing_validation(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("Monte Carlo sampling before the delay check")
 
-    monkeypatch.setattr(ensemble, "_population_sums", no_sampling)
+    monkeypatch.setattr(ensemble, "_phase", no_sampling)
     bad_delays = (
         (SequenceKind.RAMSEY, [5e-6, math.nan], None, "^tau1 must be finite"),
         (SequenceKind.ECHO, 5e-6, [5e-6, math.inf], "^tau2 must be finite"),
@@ -413,6 +413,39 @@ def test_monte_carlo_mixture_draws_each_batch_once(monkeypatch):
     mixed = curve(Populations(weights))
     assert len(calls) == 3 * tau.size  # each batch drawn once per timing for both states
     np.testing.assert_allclose(mixed, per_state, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_monte_carlo_equals_explicit_sequence_over_its_draws(kind, monkeypatch):
+    # the harmonic series at the mean e^{i k phi} against Dx_last Dz(phi)
+    # Dx_first averaged over the very phases that the Monte Carlo path drew
+    spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=2 * ensemble._MC_BATCH + 100)
+    weights = np.array([0.7, 0.0, 0.0, 0.3, 0.0])
+    tau1 = np.linspace(0, 60e-6, 4)
+    tau2 = 1.5 * tau1 if kind is SequenceKind.ECHO else None
+    drawn = []
+    phase = ensemble._phase
+
+    def recording(*args):
+        drawn.append(phase(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(ensemble, "_phase", recording)
+    curve = ensemble_average_curve(
+        ECHO_FIELD, spec, kind, tau1, tau2, Populations(weights), AverageMethod.MONTE_CARLO
+    )
+    dx_first, dx_last, m = ensemble._dx_pair(4, kind)
+
+    def explicit_mean(initial, phis):
+        phases = np.exp(-1j * np.multiply.outer(phis, m))
+        amps = (phases * (dx_first @ initial.amplitudes)) @ dx_last.T
+        return np.mean(np.abs(amps) ** 2, axis=0)
+
+    for t, row in enumerate(curve):
+        phis = np.concatenate(drawn[t :: tau1.size])  # batch-major: one call per batch and timing
+        assert phis.size == spec.n_samples
+        expected = per_state_sum(weights, lambda state: explicit_mean(state, phis))
+        np.testing.assert_allclose(row, expected, rtol=0, atol=1e-13)
 
 
 def test_monte_carlo_curve_draws_each_batch_once(monkeypatch):
