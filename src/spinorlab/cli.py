@@ -196,12 +196,11 @@ def _run_stirap(params: dict) -> RunOutput:
 
 
 def _run_fstirap_scan(params: dict) -> RunOutput:
-    rows = []
-    for eta in np.linspace(params["eta_min"], params["eta_max"], params["points"]):
-        final, survival = stirap.simulate_stirap(_stirap_params(params, float(eta)))
-        zeeman = stirap.chain_to_zeeman_populations(np.abs(final.amplitudes) ** 2)
-        rows.append([eta, *zeeman, survival])
-    return RunOutput(["eta", *P_COLUMNS, "survival"], np.array(rows))
+    etas = np.linspace(params["eta_min"], params["eta_max"], params["points"])
+    finals = stirap.simulate_stirap([_stirap_params(params, float(eta)) for eta in etas])
+    zeeman = stirap.chain_to_zeeman_populations([np.abs(f.amplitudes) ** 2 for f, _ in finals])
+    rows = np.column_stack([etas, zeeman, [survival for _, survival in finals]])
+    return RunOutput(["eta", *P_COLUMNS, "survival"], rows)
 
 
 def _field_and_spec(params: dict, b1: float, samples: int = 1, seed: int = 0):

@@ -61,7 +61,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar, nnls
 
 from .core import CONSTANTS, TWO_PI, ZEEMAN_M
 from .ensemble import (
@@ -132,7 +131,8 @@ class _Profile:
     shape (n, channel, initial state).
     """
 
-    def __init__(self, data: TimeSeries, basis):
+    def __init__(self, data: TimeSeries, basis, nnls):
+        self._nnls = nnls
         self.basis = basis
         self.n_evals = 0
         self._target = data.populations.ravel()
@@ -143,7 +143,7 @@ class _Profile:
         a = np.ascontiguousarray(self.basis(x).reshape(self._target.size, -1))
         # sum-to-one row, weighted far above the data rows
         lam = 1e3 * max(1.0, float(np.linalg.norm(a)))
-        w, _ = nnls(
+        w, _ = self._nnls(
             np.vstack([a, np.full((1, a.shape[1]), lam)]),
             np.append(self._target, lam),
         )
@@ -164,7 +164,9 @@ def _varpro_fit(data: TimeSeries, basis, grid: np.ndarray, name: str) -> FitResu
 
     params hold the fitted value under ``name`` and the five weights.
     """
-    profile = _Profile(data, basis)
+    from scipy.optimize import minimize_scalar, nnls  # per fit: not at import, nor per evaluation
+
+    profile = _Profile(data, basis, nnls)
     i = int(np.argmin([profile.solve(x)[1] for x in grid]))
     x_best = float(grid[i])
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]

@@ -30,19 +30,22 @@ nonadiabatic leakage in the Gaussian tails, not a normalization slip.
 Excited-state decay is modeled non-Hermitianly: the lost norm is the loss
 fraction, no repopulation.
 
-Every solve is one ``_integrate`` call (DOP853 over the pulse window, from
-|+2>, with the pulse-area warning); ``simulate_stirap`` and ``stirap_trace``
-only post-process it.
+Every solve is one ``_integrate`` call: the c chains of a scan (c = 1 for
+one chain or trace) stacked into one 5c state vector from |+2> and solved by
+DOP853 over the union of their windows.  SciPy's error norm is the RMS over
+all 5c components, not per component, so a chain's local error may reach
+sqrt(c) times the one-chain bound; stacks of 3 to 25 chains measured within
+2.7e-10 of per-chain solves, and the union window alone moves a chain ~1e-14.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import Populations, StateVector, clebsch_gordan
 
@@ -158,55 +161,61 @@ def _window(p: StirapParams) -> tuple[float, float]:
     return (min(0.0, p.delta_t) - 4 * p.tau_pulse, max(0.0, p.delta_t) + 4 * p.tau_pulse)
 
 
-def _integrate(p: StirapParams, t_eval=None):
-    """DOP853 solve through the window of ``p`` from |+2>; owns the
-    nonadiabatic warning, aimed at the public caller."""
-    if p.omega0_peak * p.tau_pulse < 10:
+def _integrate(chains: Sequence[StirapParams], t_eval=None):
+    """One DOP853 solve of the chains stacked into one state vector, chain j
+    in y[5j:5j+5], over the union of their windows.  Owns the nonadiabatic
+    warning: once per solve, aimed at the public caller."""
+    from scipy.integrate import solve_ivp
+
+    if not chains:
+        raise ValueError("no chains to integrate")
+    if any(p.omega0_peak * p.tau_pulse < 10 for p in chains):
         warnings.warn(
             "pulse area omega0_peak * tau_pulse < 10; transfer may be non-adiabatic",
             NonAdiabaticPulseWarning,
             stacklevel=3,
         )
-    # H(t) = H0 + Omega_P(t) H_P + Omega_S(t) H_S, with -i folded in
-    h0 = chain_hamiltonian(p, 0.0, 0.0)
-    a0 = -1j * h0
-    a_pump = -1j * (chain_hamiltonian(p, 1.0, 0.0) - h0)
-    a_stokes = -1j * (chain_hamiltonian(p, 0.0, 1.0) - h0)
-    w0 = p.omega0_peak
-    tau2 = p.tau_pulse**2
-    dt = p.delta_t
-    eta = p.eta
+    # dy_j/dt = m_j @ (e_j (x) y_j), with -i folded into m_j = [H0 | W0 (H_P + eta H_S) | W0 H_S]
+    # and e_j = exp(rate (t - centre)^2) for (H0, pump, Stokes); H0's rate 0 makes its factor 1
+    m = np.empty((len(chains), 5, 15), complex)
+    for j, p in enumerate(chains):
+        h0 = chain_hamiltonian(p, 0.0, 0.0)
+        h_pump = chain_hamiltonian(p, p.omega0_peak, p.eta * p.omega0_peak) - h0
+        h_stokes = chain_hamiltonian(p, 0.0, p.omega0_peak) - h0
+        m[j] = -1j * np.hstack((h0, h_pump, h_stokes))
+    centre = np.array([[[0.0], [p.delta_t], [0.0]] for p in chains])
+    rate = np.array([[[0.0], [-1 / p.tau_pulse**2], [-1 / p.tau_pulse**2]] for p in chains])
 
     def rhs(t, y):
-        # pulse_envelopes in scalar math.exp: its numpy path made a solve ~30% slower
-        pump = w0 * math.exp(-((t - dt) ** 2) / tau2)
-        stokes = w0 * math.exp(-(t**2) / tau2) + eta * pump
-        return (a0 + pump * a_pump + stokes * a_stokes) @ y
+        e = np.exp(np.square(t - centre) * rate)
+        return (m @ (e * y.reshape(-1, 1, 5)).reshape(-1, 15, 1)).ravel()
 
+    starts, ends = zip(*map(_window, chains))
     sol = solve_ivp(
         rhs,
-        _window(p),
-        np.eye(5, dtype=complex)[0],
+        (min(starts), max(ends)),
+        np.tile(np.eye(5, dtype=complex)[0], len(chains)),
         method="DOP853",
         rtol=1e-10,
         atol=1e-12,
         t_eval=t_eval,
-        dense_output=False,
     )
     if not sol.success:
         raise RuntimeError(f"chain integration failed: {sol.message}")
     return sol
 
 
-def simulate_stirap(p: StirapParams) -> tuple[StateVector, float]:
+def simulate_stirap(p: StirapParams | Sequence[StirapParams]):
     """Propagate the chain from |+2> through the pulse pair.
 
     Returns the final state (normalized) and the survival probability, i.e.
-    the squared norm remaining when gamma_e > 0 (1.0 when lossless).
+    the squared norm remaining when gamma_e > 0 (1.0 when lossless); for a
+    sequence of params, one stacked solve gives the list of those pairs.
     """
-    yf = _integrate(p).y[:, -1]
-    survival = min(float(np.sum(np.abs(yf) ** 2)), 1.0)
-    return StateVector.normalized(yf), survival
+    chains = [p] if isinstance(p, StirapParams) else list(p)
+    finals = _integrate(chains).y[:, -1].reshape(len(chains), 5)
+    out = [(StateVector.normalized(y), min(float(np.sum(np.abs(y) ** 2)), 1.0)) for y in finals]
+    return out[0] if isinstance(p, StirapParams) else out
 
 
 def stirap_trace(p: StirapParams, n_points: int = 200):
@@ -216,7 +225,7 @@ def stirap_trace(p: StirapParams, n_points: int = 200):
     Populations are relative to the surviving norm.
     """
     times = np.linspace(*_window(p), n_points)
-    raw = np.abs(_integrate(p, t_eval=times).y.T) ** 2
+    raw = np.abs(_integrate([p], t_eval=times).y.T) ** 2
     survival = np.minimum(raw.sum(axis=1), 1.0)
     pops = raw / raw.sum(axis=1, keepdims=True)
     return times, pops, survival

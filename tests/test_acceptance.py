@@ -193,8 +193,7 @@ def test_criterion_5_stirap_transfer_plateau():
     start = time.perf_counter()
     delays = np.linspace(0.4e-6, 1.0e-6, 11)
     transfers = []
-    for delta_t in delays:
-        final, survival = simulate_stirap(stirap_paper_params(delta_t=float(delta_t)))
+    for final, survival in simulate_stirap([stirap_paper_params(delta_t=float(d)) for d in delays]):
         transfers.append(float(np.abs(final.amplitudes[4]) ** 2))
         assert survival == pytest.approx(1.0, abs=1e-9)
     elapsed = time.perf_counter() - start
@@ -213,8 +212,8 @@ def test_criterion_5_stirap_transfer_plateau():
 def test_criterion_6_fractional_stirap_scan():
     etas = np.linspace(0.0, 3.0, 25)
     worst = 0.0
-    for eta in etas:
-        final, _ = simulate_stirap(stirap_paper_params(eta=float(eta)))
+    finals = simulate_stirap([stirap_paper_params(eta=float(eta)) for eta in etas])
+    for eta, (final, _) in zip(etas, finals):
         p = np.abs(final.amplitudes) ** 2
         closed = fstirap_populations_closed(float(eta)).p
         worst = max(worst, float(np.max(np.abs(p[[0, 2, 4]] - closed))))

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinorlab import cli, fit
+from spinorlab import cli, fit, stirap
 from spinorlab.stirap import fstirap_populations_closed
 
 TWO_PI = 2 * math.pi
@@ -207,6 +207,22 @@ tau_pulse: 0.55 us
 delta_t: 0.7 us
 detuning: 20 MHz
 """
+
+
+@pytest.mark.parametrize(
+    "extra, chains",
+    [("scenario: stirap\npoints: 20\n", 1), ("scenario: fstirap-scan\neta_max: 1.0\npoints: 4\n", 4)],
+    ids=["stirap", "fstirap-scan"],
+)
+def test_one_chain_solve_per_stirap_run(extra, chains, tmp_path, monkeypatch):
+    solves = []
+    integrate = stirap._integrate
+    monkeypatch.setattr(
+        stirap, "_integrate", lambda ps, t_eval=None: solves.append(len(ps)) or integrate(ps, t_eval)
+    )
+    cfg = write_config(tmp_path, "stirap.yaml", extra + STIRAP_PULSES)
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+    assert solves == [chains]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,8 @@
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import spinorlab
 
@@ -67,3 +71,26 @@ def test_public_names():
         "two_level_population",
         "zeeman_state",
     ]
+
+
+def test_rabi_run_imports_no_scipy(tmp_path):
+    """SciPy loads only when a STIRAP solve or a fit needs it, so the RF,
+    Ramsey and echo scenarios start without its import time."""
+    config = tmp_path / "rabi.yaml"
+    config.write_text(
+        "scenario: rabi\nomega0: 800 kHz\nomega_rabi: 95 kHz\nduration: 42 us\n"
+        "points: 30\np0_plus2: 1.0\n",
+        encoding="utf-8",
+    )
+    script = (
+        "import sys, spinorlab, spinorlab.cli\n"
+        f"assert spinorlab.cli.main(['run', {str(config)!r}, '--out', {str(tmp_path / 'rabi.csv')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(spinorlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

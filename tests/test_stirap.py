@@ -12,6 +12,7 @@ from spinorlab.stirap import (
     STOKES_CG,
     NonAdiabaticPulseWarning,
     StirapParams,
+    _window,
     chain_hamiltonian,
     chain_to_zeeman_populations,
     clebsch_gordan,
@@ -193,9 +194,34 @@ def test_fractional_transfer_matches_closed_form(eta):
 
 def test_transfer_plateau_over_stable_delays():
     # the delay scan continues down to 0.4 us in the acceptance suite
-    for delta_t in np.linspace(0.46e-6, 1.0e-6, 10):
-        final, _ = simulate_stirap(paper_pulses(delta_t=float(delta_t)))
+    delays = np.linspace(0.46e-6, 1.0e-6, 10)
+    finals = simulate_stirap([paper_pulses(delta_t=float(delta_t)) for delta_t in delays])
+    for delta_t, (final, _) in zip(delays, finals):
         assert np.abs(final.amplitudes[4]) ** 2 > 0.99, delta_t
+
+
+def test_stacked_solve_equals_each_chain_alone():
+    chains = [
+        paper_pulses(),
+        paper_pulses(delta_t=-0.5e-6, eta=0.7),
+        paper_pulses(delta_t=1.1e-6, gamma_e=TWO_PI * 1e6),
+        paper_pulses(delta_t=0.3e-6, eta=1.5, two_photon_detuning=TWO_PI * 300e3),
+        # the narrowest window, integrated here over the union of all five
+        paper_pulses(tau_pulse=0.3e-6, delta_t=0.2e-6, omega0_peak=TWO_PI * 60e6, gamma_e=TWO_PI * 2e6),
+    ]
+    starts, ends = zip(*(_window(p) for p in chains))
+    assert min(starts) < starts[-1] and ends[-1] < max(ends)
+    for p, (final, survival) in zip(chains, simulate_stirap(chains)):
+        alone, survival_alone = simulate_stirap(p)
+        assert np.max(np.abs(np.abs(final.amplitudes) ** 2 - np.abs(alone.amplitudes) ** 2)) < 1e-9
+        assert abs(survival - survival_alone) < 1e-9 and survival <= 1.0
+
+
+def test_stacked_solve_warns_once_at_the_caller():
+    weak = paper_pulses(omega0_peak=5 / 0.55e-6)
+    with pytest.warns(NonAdiabaticPulseWarning) as record:
+        simulate_stirap([weak, paper_pulses(), weak])
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_intuitive_order_fails_on_resonance():
