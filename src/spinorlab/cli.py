@@ -423,9 +423,11 @@ def load_config(path: str) -> dict:
 
 
 def format_table(output: RunOutput, delimiter: str) -> str:
-    lines = [delimiter.join(output.header)]
-    for row in np.atleast_2d(output.rows):
-        lines.append(delimiter.join(f"{v:.9g}" for v in row))
+    rows = np.atleast_2d(output.rows)
+    # "%.9g" % float prints the same bytes as f"{v:.9g}"; converting a row at
+    # a time holds no Python copy of the whole table
+    row_format = delimiter.join(["%.9g"] * rows.shape[1])
+    lines = [delimiter.join(output.header), *(row_format % tuple(row.tolist()) for row in rows)]
     return "\n".join(lines) + "\n"
 
 

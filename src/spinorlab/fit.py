@@ -15,23 +15,36 @@ Three fitters mirror the experimental analysis chain:
 Every model is an incoherent mixture of the five Zeeman basis states, so it
 is linear in the five initial-population weights once its one nonlinear
 parameter (Omega, B1 or c) is fixed.  The fits therefore use variable
-projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): for each
-trial value the weights are solved exactly on the probability simplex by
-non-negative least squares with a sum-to-one row, which leaves a residual
-that depends on the nonlinear parameter alone.  That parameter is located on
-a logarithmic grid and refined by a bounded scalar minimization between the
-grid neighbours of the best grid point; ``converged`` is the refinement's
-success flag.
+projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973); O'Leary &
+Rust, Comput. Optim. Appl. 54, 579 (2013)): for each trial value the
+weights minimise the squared residual exactly on the probability simplex,
+which leaves a residual that depends on the nonlinear parameter alone.
 
 Every basis is one harmonic series.  Each of the 25 basis curves is a
-trigonometric polynomial of order four in one phase: theta = Omega t / 2
-for the resonant rotation Dx(theta) = V Dz(theta) V^dagger (V the Jx
-eigenvectors), and phi for Ramsey and echo.  Its cached harmonics
-(``_basis_coefficients``) are summed with the Gaussian-damped carriers by
-``ensemble._harmonic_sum`` as one matrix product: Rabi at (theta, var 0),
-Ramsey at (carrier, B1^2 var_1), echo at (0, c tau^4).  The Rabi series
-agrees with the closed forms of ``rabi_model_curve`` within 1e-12 for theta
-up to 8000 rad.
+trigonometric polynomial of order four in one Gaussian phase: theta =
+Omega t / 2 for the resonant rotation Dx(theta) = V Dz(theta) V^dagger (V
+the Jx eigenvectors), with variance 0; the carrier with variance B1^2 var_1
+for Ramsey; 0 with variance c tau^4 for echo.  Its harmonics f_k
+(``_basis_coefficients``) are real up to round-off, so the curve of state i
+in channel m is sum_k F_k(t) f_k[m, i] with the real features F_k =
+2' cos(k a) e^{-k^2 var / 2} (``_features``; 2' is 2 for k >= 1, 1 for k =
+0).  The Rabi series agrees with the closed forms of ``rabi_model_curve``
+within 1e-12 for theta up to 8000 rad.
+
+A fit reads the trace through sufficient statistics only: the Gram matrix G
+and the vector b of the (5n, 5) basis follow from the 5 x 5 sums F^T F and
+F^T Y over the samples, contracted with the f_k, and a batch of trial
+values is one batched product (``_Profile``).  min w^T G w - 2 b^T w on the
+simplex is solved exactly over its 31 supports (``_simplex_solve``).  The
+normal equations resolve the mean squared residual only to about 1e-16 of
+the mean squared data, so the refinement below and the reported
+``residual_rms`` use the explicit residual at the solved weights.
+
+The nonlinear parameter is located on a grid and refined by Brent's
+golden-section and parabolic search in u = ln(x / x_best) between the
+grid neighbours of the best grid point.  ``converged`` means the bracket
+around the refined point shrank below 1e-10 in u, a relative 1e-10 in x,
+within 200 evaluations.  Fits import no SciPy.
 
 Grid bounds are set by a dimensionless scale of the sampled trace:
 
@@ -42,8 +55,7 @@ Grid bounds are set by a dimensionless scale of the sampled trace:
           The residual oscillates in Omega with a period set by t_max, so
           the 16-per-decade log grid is merged with a uniform grid of step
           pi / (4 t_max): one step moves the 2 Omega harmonic by pi/2 at
-          t_max.  That is about 2n grid points for n uniform samples, each
-          an O(n) profile evaluation, so a Rabi fit costs O(n^2).
+          t_max.
   ramsey  phase spread sqrt(var phi) at the last delay from 1e-3 to 1e2
           rad, 16 points per decade.  The floor reaches the B1 -> 0 limit.
   echo    phase spread sqrt(c) tau_last^2 from 1e-3 to 1e2 rad, 16 points
@@ -56,6 +68,7 @@ Residuals weight every sample and every m channel equally.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -79,6 +92,10 @@ _GRID_PER_DECADE = 16
 _GUESS_SPAN = 2.0
 _PHASE_SPREAD_BOUNDS = (1e-3, 1e2)
 _RABI_ANGLE_FLOOR = 1e-2
+_CHUNK_ROWS = 8192  # trial values x samples per feature block
+_TIE_ULPS = 64  # slack in units of eps * bound; 4 sufficed on noiseless traces
+_XATOL = 1e-10
+_REFINE_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -124,68 +141,216 @@ class FitResult:
 
 
 class _Profile:
-    """RMS residual at the best simplex weights for a fixed value of the
-    nonlinear parameter.
+    """Best simplex weights of a model for batches of trial values of its
+    nonlinear parameter, from sufficient statistics of the trace.
 
-    ``basis(x)`` returns the curves of the five basis initial states,
-    shape (n, channel, initial state).
+    ``phase(x)`` maps trial values x, shape (g,), to the Gaussian phase's
+    mean and variance, each broadcastable to (g, n); the basis curves are
+    the damped carriers of ``_features`` contracted with the real
+    harmonics of ``_basis_coefficients(kind)``.
     """
 
-    def __init__(self, data: TimeSeries, basis, nnls):
-        self._nnls = nnls
-        self.basis = basis
-        self.n_evals = 0
-        self._target = data.populations.ravel()
-
-    def solve(self, x: float) -> tuple[np.ndarray, float]:
-        self.n_evals += 1
-        # nnls and a @ w round differently on the strided real part: copy
-        a = np.ascontiguousarray(self.basis(x).reshape(self._target.size, -1))
-        # sum-to-one row, weighted far above the data rows
-        lam = 1e3 * max(1.0, float(np.linalg.norm(a)))
-        w, _ = self._nnls(
-            np.vstack([a, np.full((1, a.shape[1]), lam)]),
-            np.append(self._target, lam),
+    def __init__(self, data: TimeSeries, kind: SequenceKind | None, phase):
+        self._phase = phase
+        dim = len(ZEEMAN_M)
+        # (harmonic, channel, initial state); the imaginary parts are round-off
+        self._coeffs = _basis_coefficients(kind).real.reshape(dim, dim, dim)
+        # sum over channels of B[k, c, i] B[l, c, j], rows (k, l), columns (i, j)
+        self._pairs = np.einsum("kci,lcj->klij", self._coeffs, self._coeffs).reshape(
+            dim * dim, dim * dim
         )
-        w /= w.sum()
-        resid = a @ w - self._target
+        self._target = data.populations
+        self._chunk = max(1, _CHUNK_ROWS // data.n)
+        self.n_evals = 0
+
+    def solve(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Weights (g, state) and objective w^T G w - 2 b^T w (g,) at the
+        trial values x (g,); the objective plus the mean squared data is
+        the mean squared residual."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        self.n_evals += x.size
+        dim, scale = len(ZEEMAN_M), self._target.size
+        weights, objective = np.empty((x.size, dim)), np.empty(x.size)
+        for start in range(0, x.size, self._chunk):
+            part = slice(start, start + self._chunk)
+            f = _features(*self._phase(x[part]))  # (g, harmonic, n)
+            ff = np.einsum("gkt,glt->gkl", f, f).reshape(-1, dim * dim)
+            fy = (f.reshape(-1, f.shape[-1]) @ self._target).reshape(-1, dim * dim)
+            gram = (ff @ self._pairs).reshape(-1, dim, dim) / scale
+            b = fy @ self._coeffs.reshape(dim * dim, dim) / scale
+            weights[part], objective[part] = _simplex_solve(gram, b)
+        return weights, objective
+
+    def fit(self, x: float) -> tuple[np.ndarray, float]:
+        """Weights at x and the rms of the explicit residual, which keeps
+        a clean fit's rms far below the normal equations' round-off."""
+        w = self.solve(x)[0][0]
+        f = _features(*self._phase(np.array([x])))[0]
+        resid = f.T @ (self._coeffs @ w) - self._target
         return w, float(np.sqrt(np.mean(resid**2)))
+
+
+def _features(a, var) -> np.ndarray:
+    """Damped carriers 2' cos(k a) e^{-k^2 var / 2}, k = 0..4 (2' is 2 for
+    k >= 1 and 1 for k = 0), for a and var broadcastable to (g, n); shape
+    (g, harmonic, n).  One cos and one exp: 2 cos(k a) by the Chebyshev
+    recurrence, and e^{-k^2 var / 2} as products of the odd powers of
+    e^{-var / 2}."""
+    g, n = np.broadcast_shapes(np.shape(a), np.shape(var))
+    out = np.empty((g, len(ZEEMAN_M), n))
+    out[:, 0] = 1.0
+    two_cos = 2 * np.cos(a)
+    prev, cur = 2.0, two_cos  # 2 cos((k - 1) a) and 2 cos(k a)
+    out[:, 1] = cur
+    for k in range(2, len(ZEEMAN_M)):
+        prev, cur = cur, two_cos * cur - prev
+        out[:, k] = cur
+    if np.any(var):
+        d = np.exp(-0.5 * np.asarray(var))
+        d2 = d * d
+        odd = damp = d  # d^(2k - 1) and d^(k^2)
+        out[:, 1] *= d
+        for k in range(2, len(ZEEMAN_M)):
+            odd = odd * d2
+            damp = damp * odd
+            out[:, k] *= damp
+    return out
+
+
+def _kkt_parts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 31 supports (support, state), fewest states first; the part of
+    their KKT matrices that holds w = 0 off the support and the sum-to-one
+    border, (support, 6, 6); and the mask 2 s s^T of their G block."""
+    dim = len(ZEEMAN_M)
+    s = np.array(
+        sorted(
+            (s for s in itertools.product((0.0, 1.0), repeat=dim) if any(s)),
+            key=lambda s: (sum(s), s[::-1]),
+        )
+    )
+    base = np.zeros((s.shape[0], dim + 1, dim + 1))
+    base[:, range(dim), range(dim)] = 1 - s
+    base[:, :dim, dim] = -s
+    base[:, dim, :dim] = s
+    return s, base, 2 * s[:, :, None] * s[:, None, :]
+
+
+_SUPPORTS, _KKT_BASE, _KKT_GRAM = _kkt_parts()
+
+
+def _simplex_solve(gram: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimum of w^T G w - 2 b^T w over the probability simplex for a
+    batch of PSD G (g, 5, 5) and b (g, 5); returns w (g, 5) and the
+    objective (g,).
+
+    For each of the 31 supports S the KKT system 2 G_SS w_S - lambda 1 =
+    2 b_S, 1^T w_S = 1 (w = 0 off S) is solved in one batch.  The problem
+    is convex, so the feasible solution of lowest objective is the minimum;
+    a singular system drops out.  Among the solutions within round-off of
+    the lowest, the one with the fewest states is kept, so that a state
+    which a perfect fit does not need reads exactly 0.
+    """
+    g, dim = b.shape
+    kkt = np.tile(_KKT_BASE, (g, 1, 1, 1))
+    kkt[..., :dim, :dim] += _KKT_GRAM * gram[:, None]
+    rhs = np.ones((g, _SUPPORTS.shape[0], dim + 1, 1))
+    rhs[..., :dim, 0] = 2 * b[:, None] * _SUPPORTS
+    try:
+        w = np.linalg.solve(kkt, rhs)[..., :dim, 0]
+    except np.linalg.LinAlgError:  # raised if any system is singular
+        singular = np.linalg.slogdet(kkt)[0] == 0
+        kkt[singular] = np.eye(dim + 1)
+        w = np.linalg.solve(kkt, rhs)[..., :dim, 0]
+        w[singular] = np.nan  # fails the feasibility test below
+    objective = np.einsum("gsi,gij,gsj->gs", w, gram, w) - 2 * np.einsum("gsi,gi->gs", w, b)
+    objective[~np.all(w >= 0, axis=-1)] = np.inf
+    # on the simplex |w^T G w| <= max G_ii and |b^T w| <= max |b_i|
+    bound = np.abs(np.diagonal(gram, axis1=1, axis2=2)).max(axis=1) + 2 * np.abs(b).max(axis=1)
+    slack = _TIE_ULPS * np.finfo(float).eps * bound
+    pick = np.argmax(objective <= (objective.min(axis=1) + slack)[:, None], axis=1)
+    return w[np.arange(g), pick], objective[np.arange(g), pick]
 
 
 def _log_grid(lo: float, hi: float, per_decade: float = _GRID_PER_DECADE) -> np.ndarray:
     return np.geomspace(lo, hi, max(3, math.ceil(per_decade * math.log10(hi / lo)) + 1))
 
 
-def _varpro_fit(data: TimeSeries, basis, grid: np.ndarray, name: str) -> FitResult:
-    """Grid search over the increasing positive values ``grid``, then a
-    bounded refinement in u = ln(x / x_best) between the best point's
-    neighbours.  Centring u on the best grid point keeps the bounded
-    method's sqrt(eps)*|u| stopping term below ``xatol``.
+def _brent(f, lo: float, hi: float) -> tuple[float, bool]:
+    """Minimum of f on [lo, hi] by Brent's golden-section and parabolic
+    search (Brent, Algorithms for Minimization without Derivatives (1973),
+    ch. 5).  Returns the best point and whether the bracket around it
+    shrank below ``_XATOL`` within ``_REFINE_MAX_ITER`` evaluations."""
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    tol = _XATOL / 4  # the bracket is within 2 tol of x on both sides at the end
+    a, b = lo, hi
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = f(x)
+    step = last = 0.0  # the step taken and the one before it
+    for _ in range(_REFINE_MAX_ITER):
+        mid = 0.5 * (a + b)
+        if abs(x - mid) <= 2 * tol - 0.5 * (b - a):
+            return x, True
+        parabolic = False
+        if abs(last) > tol:  # the parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0 else p), abs(q)
+            # accept a step inside the bracket and under half the one before last
+            if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                last, step = step, p / q
+                if x + step - a < 2 * tol or b - x - step < 2 * tol:
+                    step = tol if mid >= x else -tol
+        if not parabolic:
+            last = (a if x >= mid else b) - x
+            step = golden * last
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
+    return x, False
+
+
+def _varpro_fit(profile: _Profile, grid: np.ndarray, name: str) -> FitResult:
+    """Grid search over the increasing positive values ``grid``, then
+    Brent's search in u = ln(x / x_best) between the best point's
+    neighbours, where ``_XATOL`` on u is a relative tolerance on x.
 
     params hold the fitted value under ``name`` and the five weights.
     """
-    from scipy.optimize import minimize_scalar, nnls  # per fit: not at import, nor per evaluation
-
-    profile = _Profile(data, basis, nnls)
-    i = int(np.argmin([profile.solve(x)[1] for x in grid]))
+    i = int(np.argmin(profile.solve(grid)[1]))
     x_best = float(grid[i])
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    res = minimize_scalar(
-        lambda u: profile.solve(x_best * math.exp(u))[1],
-        bounds=(math.log(lo / x_best), math.log(hi / x_best)),
-        method="bounded",
-        options={"xatol": 1e-10},
+    u, converged = _brent(
+        lambda u: profile.fit(x_best * math.exp(u))[1],
+        math.log(lo / x_best),
+        math.log(hi / x_best),
     )
-    x = x_best * math.exp(float(res.x))
-    weights, rms = profile.solve(x)
+    x = x_best * math.exp(u)
+    weights, rms = profile.fit(x)
     diagnostic = None
     if i in (0, grid.size - 1):
         side = "lower" if i == 0 else "upper"
         diagnostic = f"{name} at the {side} grid bound: not resolved beyond it"
     return FitResult(
-        params={name: x, **dict(zip(_POP_KEYS, weights))},
+        params={name: x, **dict(zip(_POP_KEYS, weights.tolist()))},
         residual_rms=rms,
-        converged=bool(res.success),
+        converged=converged,
         n_evals=profile.n_evals,
         diagnostic=diagnostic,
     )
@@ -252,9 +417,8 @@ def fit_rabi(data: TimeSeries, omega_guess: float | None = None) -> FitResult:
     # the uniform part moves the 2 Omega harmonic by pi/2 at t_ref per step
     grid = np.union1d(_log_grid(lo, hi), np.arange(lo, hi, math.pi / (4 * t_ref)))
 
-    return _varpro_fit(
-        data, lambda omega: _harmonic_basis(None, 0.5 * omega * data.times, 0.0), grid, "omega"
-    )
+    profile = _Profile(data, None, lambda omega: (0.5 * omega[:, None] * data.times, 0.0))
+    return _varpro_fit(profile, grid, "omega")
 
 
 @lru_cache(maxsize=None)
@@ -321,12 +485,8 @@ def fit_ramsey(data: TimeSeries, known: dict) -> FitResult:
     if not spread_unit > 0:
         raise ValueError("data: the last delay must be positive to resolve B1")
     lo, hi = (s / spread_unit for s in _PHASE_SPREAD_BOUNDS)
-    return _varpro_fit(
-        data,
-        lambda b1: _harmonic_basis(SequenceKind.RAMSEY, carrier, b1**2 * var_unit),
-        _log_grid(lo, hi),
-        "b1",
-    )
+    profile = _Profile(data, SequenceKind.RAMSEY, lambda b1: (carrier, b1[:, None] ** 2 * var_unit))
+    return _varpro_fit(profile, _log_grid(lo, hi), "b1")
 
 
 def fit_echo(data: TimeSeries, known: dict) -> FitResult:
@@ -351,13 +511,9 @@ def fit_echo(data: TimeSeries, known: dict) -> FitResult:
     t_last = float(t[-1])  # > 0: at least two increasing delays, none negative
     # phase spread sqrt(c) tau^2 at the last delay
     lo, hi = (s**2 / t_last**4 for s in _PHASE_SPREAD_BOUNDS)
-    result = _varpro_fit(
-        data,
-        lambda c: _harmonic_basis(SequenceKind.ECHO, 0.0, c * t**4),
-        # c scales as the phase spread squared
-        _log_grid(lo, hi, _GRID_PER_DECADE / 2),
-        "compound",
-    )
+    profile = _Profile(data, SequenceKind.ECHO, lambda c: (0.0, c[:, None] * t**4))
+    # c scales as the phase spread squared
+    result = _varpro_fit(profile, _log_grid(lo, hi, _GRID_PER_DECADE / 2), "compound")
     compound = result.params["compound"]
     if "t_axial" in known:
         k_t = CONSTANTS.k_b * float(known["t_axial"])

@@ -482,3 +482,18 @@ def test_nine_significant_digits(tmp_path):
     second_line = out.read_text(encoding="utf-8").splitlines()[2]
     first_value = second_line.split(",")[1]
     assert len(first_value.replace(".", "").replace("-", "").lstrip("0")) <= 9
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t"])
+def test_format_table_matches_per_value_formatting(delimiter):
+    rows = np.array(
+        [
+            [-0.0, math.nan, math.inf, -math.inf, 1e-300],
+            [5e-324, -1.0000000005, 123456789012.0, 0.1, 1 / 3],
+        ]
+    )
+    expected = [delimiter.join("abcde")]
+    expected += [delimiter.join(f"{v:.9g}" for v in row) for row in rows]
+    text = cli.format_table(cli.RunOutput(list("abcde"), rows), delimiter)
+    assert text == "\n".join(expected) + "\n"
+    assert text.splitlines()[1] == delimiter.join(["-0", "nan", "inf", "-inf", "1e-300"])

@@ -258,3 +258,111 @@ def test_fits_are_deterministic():
     a = fit_rabi(data)
     b = fit_rabi(data)
     assert a.params == b.params
+
+
+@pytest.mark.parametrize("kind", [None, SequenceKind.RAMSEY, SequenceKind.ECHO])
+def test_basis_coefficients_are_real(kind):
+    # the profile keeps cosine features only, so the sine parts must be round-off
+    assert np.max(np.abs(fit._basis_coefficients(kind).imag)) <= 1e-15
+
+
+def _explicit_profile(kind, carrier, var, data: TimeSeries):
+    """Weights and rms from the (n, channel, state) basis fed to the same
+    simplex solve: the reference the sufficient statistics must match."""
+    a = fit._harmonic_basis(kind, carrier, var).reshape(-1, len(ZEEMAN_M))
+    y = data.populations.ravel()
+    w = fit._simplex_solve((a.T @ a)[None] / y.size, (a.T @ y)[None] / y.size)[0][0]
+    return w, math.sqrt(np.mean((a @ w - y) ** 2))
+
+
+def test_profile_statistics_match_explicit_basis():
+    rng = np.random.default_rng(3)
+    rabi = synthetic_rabi(TWO_PI * 95e3, [0.5, 0.3, 0.2, 0, 0], n=300, t_max=40e-6, noise=0.02)
+    ramsey = _add_noise(synthetic_ramsey(4.5), 0.02, rng)
+    echo = _add_noise(synthetic_echo(13.5, 0.2e-3), 0.02, rng)
+    field = FieldConfig(b0=RAMSEY_KNOWN["b0"], b1=1.0)
+    spec = EnsembleSpec(sigma_z0=RAMSEY_KNOWN["sigma_z0"], t_axial=RAMSEY_KNOWN["t_axial"], n_samples=1)
+    carrier, var_unit = fit._carrier_and_variance(
+        field, spec, SequenceKind.RAMSEY, ramsey.times, np.zeros_like(ramsey.times)
+    )
+    cases = [
+        (rabi, None, lambda x: (0.5 * x * rabi.times, 0.0), TWO_PI * np.array([10e3, 94e3, 95e3, 3e6])),
+        (ramsey, SequenceKind.RAMSEY, lambda x: (carrier, x**2 * var_unit), np.array([1e-6, 4.5e-4, 2e-3])),
+        (echo, SequenceKind.ECHO, lambda x: (0.0, x * echo.times**4), np.array([1e13, 2.7e15, 1e17])),
+    ]
+    for data, kind, phase, trials in cases:
+        profile = fit._Profile(data, kind, lambda x: phase(x[:, None]))
+        weights, _ = profile.solve(trials)
+        for x, w in zip(trials, weights):
+            w_ref, rms_ref = _explicit_profile(kind, *phase(x), data)
+            np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
+            w_fit, rms = profile.fit(x)
+            np.testing.assert_allclose(w_fit, w_ref, rtol=0, atol=1e-12)
+            assert rms == pytest.approx(rms_ref, rel=0, abs=1e-12)
+
+
+def _kkt_violation(gram, b, w) -> float:
+    """Largest violation of the simplex KKT conditions at w: w >= 0, sum 1,
+    and 2 (G w - b) equal to some lambda where w > 0, at least it elsewhere."""
+    grad = 2 * (gram @ w - b)
+    support = w > 0
+    lam = grad[support].mean()
+    return max(
+        -w.min(),
+        abs(w.sum() - 1),
+        np.max(np.abs(grad[support] - lam)),
+        np.max(lam - grad[~support], initial=0.0),
+    )
+
+
+def test_simplex_solve_meets_the_kkt_conditions():
+    rng = np.random.default_rng(11)
+    optima = {
+        "vertex": np.array([0, 0, 1.0, 0, 0]),
+        "edge": np.array([0.3, 0, 0, 0.7, 0]),
+        "interior": np.array([0.1, 0.2, 0.3, 0.25, 0.15]),
+    }
+    grams, bs, expected = [], [], []
+    for rank in (5, 2):  # full rank and rank-deficient
+        for w_opt in optima.values():
+            x = rng.normal(size=(rank, 5))
+            gram = x.T @ x
+            # a multiplier lambda on the constraint and nu > 0 off the support
+            # make w_opt a KKT point: 2 (G w - b) = lambda + nu
+            nu = np.where(w_opt > 0, 0.0, rng.uniform(0.1, 1.0, 5))
+            grams.append(gram)
+            bs.append(gram @ w_opt - 0.5 * (rng.normal() + nu))
+            expected.append(w_opt)
+    # G = 0: every system with two or more states is singular and drops out
+    grams.append(np.zeros((5, 5)))
+    bs.append(np.array([0.1, 0.4, 0.2, 0.3, 0.0]))
+    expected.append(np.array([0, 1.0, 0, 0, 0]))
+    grams, bs = np.array(grams), np.array(bs)
+    weights, objective = fit._simplex_solve(grams, bs)
+    for gram, b, w, obj, w_opt in zip(grams, bs, weights, objective, expected):
+        assert _kkt_violation(gram, b, w) <= 1e-10
+        assert obj == pytest.approx(w @ gram @ w - 2 * b @ w, abs=1e-12)
+        # the optimum is unique unless G is rank-deficient; its value is not
+        assert obj == pytest.approx(w_opt @ gram @ w_opt - 2 * b @ w_opt, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "freq, weights",
+    [(95e3, [0.5, 0.3, 0.2, 0, 0]), (95e3, [0.2, 0.5, 0.3, 0, 0]), (100e3, [0.6, 0.1, 0.3, 0, 0])],
+)
+def test_noiseless_rabi_fit_reports_absent_states_as_exact_zeros(freq, weights):
+    # the supports with an absent state tie with the true one within round-off
+    data = synthetic_rabi(TWO_PI * freq, weights, n=100, t_max=40e-6)
+    result = fit_rabi(data)
+    assert result.converged
+    assert result.params["p_minus1_0"] == 0.0
+    assert result.params["p_minus2_0"] == 0.0
+    assert result.residual_rms < 1e-9
+
+
+def test_refinement_converges_only_within_its_iteration_cap(monkeypatch):
+    x, converged = fit._brent(lambda u: (u - 0.0123) ** 2, -0.2, 0.3)
+    assert converged
+    assert x == pytest.approx(0.0123, abs=fit._XATOL)
+    monkeypatch.setattr(fit, "_REFINE_MAX_ITER", 3)
+    assert fit._brent(lambda u: (u - 0.0123) ** 2, -0.2, 0.3)[1] is False

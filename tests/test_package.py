@@ -74,23 +74,28 @@ def test_public_names():
 
 
 def test_rabi_run_imports_no_scipy(tmp_path):
-    """SciPy loads only when a STIRAP solve or a fit needs it, so the RF,
-    Ramsey and echo scenarios start without its import time."""
-    config = tmp_path / "rabi.yaml"
-    config.write_text(
-        "scenario: rabi\nomega0: 800 kHz\nomega_rabi: 95 kHz\nduration: 42 us\n"
+    """SciPy loads only when a STIRAP solve needs it, so the RF, Ramsey,
+    echo and fit scenarios start without its import time."""
+    data = Path(__file__).parent / "data"
+    configs = {
+        "rabi": "scenario: rabi\nomega0: 800 kHz\nomega_rabi: 95 kHz\nduration: 42 us\n"
         "points: 30\np0_plus2: 1.0\n",
-        encoding="utf-8",
-    )
-    script = (
-        "import sys, spinorlab, spinorlab.cli\n"
-        f"assert spinorlab.cli.main(['run', {str(config)!r}, '--out', {str(tmp_path / 'rabi.csv')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
+        "fit-rabi": f"scenario: fit-rabi\ndata: {data / 'fit-input-rabi.csv'}\n",
+        "fit-ramsey": f"scenario: fit-ramsey\ndata: {data / 'fit-input-ramsey.csv'}\n"
+        "b0: 179 mG\nsigma_z0: 0.73 mm\nt_axial: 0.2 mK\n",
+        "fit-echo": f"scenario: fit-echo\ndata: {data / 'fit-input-echo.csv'}\nt_axial: 0.2 mK\n",
+    }
+    script = ["import sys, spinorlab, spinorlab.cli"]
+    for name, text in configs.items():
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(text, encoding="utf-8")
+        argv = ["run", str(config), "--out", str(tmp_path / f"{name}.csv")]
+        script.append(f"assert spinorlab.cli.main({argv!r}) == 0, {name!r}")
+    script.append("print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(spinorlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", "\n".join(script)], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines()[-1] == "[]"  # after the fits' printed parameters
