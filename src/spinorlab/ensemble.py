@@ -37,14 +37,19 @@ matrix product of the damped carriers e^{i k a - k^2 var / 2} with the f_k
 Monte Carlo path samples (z0, vz), draws each batch once per curve, and
 sums e^{i k phi} over the draws at every timing: the series is linear in
 e^{i k phi}, so their mean applied to the same f_k is the sample mean of
-the populations, within statistics of the analytic path.  The explicit
-product of ``single_atom_sequence`` cross-checks the harmonics.  Both
-paths are linear in an initial Populations, an incoherent mixture of the
-Zeeman basis states, so one set of f_k serves a whole mixture.
+the populations, within statistics of the analytic path.  A batch takes one
+complex exponential per sample, z = e^{i phi}, and forms e^{i k phi} as the
+running powers z^2, z^3, z^4 by multiplication.  Each power is within a few
+ulp of e^{i k phi} however large phi is, where exp(i k phi) would first
+round k phi.  The explicit product of ``single_atom_sequence`` cross-checks
+the harmonics.  Both paths are linear in an initial Populations, an
+incoherent mixture of the Zeeman basis states, so one set of f_k serves a
+whole mixture.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -285,24 +290,25 @@ def ensemble_average_curve(
         a, var = _carrier_and_variance(field, spec, kind, t1, t2)
         return _harmonic_sum(a, var, coeffs)
     # Monte Carlo: batch i draws from the i-th child of SeedSequence(seed) and
-    # each timing adds its batch sums of e^{i k phi} in batch order, so the
-    # result is bit-identical for a given (seed, n_samples) and timing
+    # each timing adds its batch sums of z^k, z = e^{i phi}, in batch order, so
+    # the result is bit-identical for a given (seed, n_samples) and timing
     if spec.n_samples < 100:
         warnings.warn(
             f"n_samples={spec.n_samples} gives a high-variance Monte Carlo average",
             UserWarning,
             stacklevel=2,
         )
-    k = np.arange(coeffs.shape[0])
     n_batches = math.ceil(spec.n_samples / _MC_BATCH)
-    terms = np.zeros((t1.size, k.size), dtype=complex)
+    terms = np.zeros((t1.size, coeffs.shape[0]), dtype=complex)
     for i, child in enumerate(np.random.SeedSequence(spec.seed).spawn(n_batches)):
         size = min(_MC_BATCH, spec.n_samples - i * _MC_BATCH)
         rng = np.random.default_rng(child)
         z0 = rng.normal(0.0, spec.sigma_z0, size)
         vz = rng.normal(0.0, spec.sigma_vz, size)
         for row, a, b in zip(terms, t1, t2):
-            row += np.exp(1j * np.multiply.outer(_phase(field, kind, z0, vz, a, b), k)).sum(axis=0)
+            z = np.exp(1j * _phase(field, kind, z0, vz, a, b))
+            powers = itertools.accumulate(itertools.repeat(z, row.size - 1), np.multiply)
+            row += [size, *(p.sum() for p in powers)]
     terms[:, 1:] *= 2
     # einsum, not @, so that each row equals its timing averaged alone
     return np.einsum("tk,kc->tc", terms / spec.n_samples, coeffs).real

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Populations, SpinSystem, StateVector, build_spin_system
+from .core import Populations, SpinSystem, build_spin_system
 
 
 class RotationAxis(Enum):
@@ -154,7 +154,3 @@ def equilibrium_populations(sys: SpinSystem) -> Populations:
     dx = rotation_operator(sys, RotationAxis.X, math.pi / 2)
     after_first = np.abs(dx[:, 0]) ** 2
     return Populations((np.abs(dx) ** 2) @ after_first)
-
-
-def apply_rotation(state: StateVector, operator: np.ndarray) -> StateVector:
-    return StateVector(operator @ state.amplitudes)

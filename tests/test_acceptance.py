@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from spinorlab import ensemble
 from spinorlab.core import CONSTANTS, ZEEMAN_M, Populations, build_spin_system, zeeman_state
 from spinorlab.ensemble import (
     AverageMethod,
@@ -27,10 +28,8 @@ from spinorlab.ensemble import (
     SequenceTiming,
     echo_envelope,
     ensemble_average,
-    phase_echo,
-    phase_ramsey,
+    ensemble_average_curve,
     ramsey_envelope,
-    single_atom_sequence,
 )
 from spinorlab.fit import TimeSeries, fit_echo, fit_rabi, fit_ramsey, rabi_model_curve
 from spinorlab.propagator import (
@@ -50,7 +49,6 @@ from spinorlab.rotations import (
     two_level_population,
 )
 from spinorlab.stirap import StirapParams, fstirap_populations_closed, simulate_stirap
-from spinorlab.ensemble import ensemble_average_curve
 
 TWO_PI = 2 * math.pi
 MG_PER_MM = 1e-4
@@ -255,17 +253,16 @@ def test_criterion_8_echo_dephasing():
 
 
 def _empirical_se(field, spec, timing, n_probe=4000):
+    # per-channel spread of the explicit product Dx_last Dz(phi) Dx_first |+2>
+    # over an independent draw, all probes at once
     rng = np.random.default_rng(12345)
     z0 = rng.normal(0, spec.sigma_z0, n_probe)
     vz = rng.normal(0, spec.sigma_vz, n_probe)
-    if timing.kind is SequenceKind.RAMSEY:
-        phis = [float(phase_ramsey(field, a, b, timing.tau1)) for a, b in zip(z0, vz)]
-    else:
-        phis = [
-            float(phase_echo(field, a, b, timing.tau1, timing.tau2))
-            for a, b in zip(z0, vz)
-        ]
-    samples = np.array([single_atom_sequence(PLUS2, timing.kind, phi).p for phi in phis])
+    phis = ensemble._phase(field, timing.kind, z0, vz, timing.tau1, timing.tau2)
+    dx_first, dx_last, m = ensemble._dx_pair(4, timing.kind)
+    amps = (np.exp(-1j * np.multiply.outer(phis, m)) * (dx_first @ PLUS2.amplitudes)) @ dx_last.T
+    samples = np.abs(amps) ** 2
+    samples /= samples.sum(axis=1, keepdims=True)
     return samples.std(axis=0) / math.sqrt(spec.n_samples)
 
 

@@ -256,22 +256,16 @@ def test_monte_carlo_matches_analytic(field, kind):
 
 
 def _standard_error(field, spec, timing) -> np.ndarray:
-    # empirical per-channel standard error from an independent draw
+    # empirical per-channel standard error from an independent draw, by the
+    # explicit product Dx_last Dz(phi) Dx_first over all probes at once
     rng = np.random.default_rng(999)
     z0 = rng.normal(0, spec.sigma_z0, 4000)
     vz = rng.normal(0, spec.sigma_vz, 4000)
-    if timing.kind is SequenceKind.RAMSEY:
-        phis = np.array(
-            [float(phase_ramsey(field, a, b, timing.tau1)) for a, b in zip(z0, vz)]
-        )
-    else:
-        phis = np.array(
-            [
-                float(phase_echo(field, a, b, timing.tau1, timing.tau2))
-                for a, b in zip(z0, vz)
-            ]
-        )
-    samples = np.array([single_atom_sequence(PLUS2, timing.kind, phi).p for phi in phis])
+    phis = ensemble._phase(field, timing.kind, z0, vz, timing.tau1, timing.tau2)
+    dx_first, dx_last, m = ensemble._dx_pair(4, timing.kind)
+    amps = (np.exp(-1j * np.multiply.outer(phis, m)) * (dx_first @ PLUS2.amplitudes)) @ dx_last.T
+    samples = np.abs(amps) ** 2
+    samples /= samples.sum(axis=1, keepdims=True)
     return samples.std(axis=0) / math.sqrt(spec.n_samples)
 
 
@@ -446,6 +440,57 @@ def test_monte_carlo_equals_explicit_sequence_over_its_draws(kind, monkeypatch):
         assert phis.size == spec.n_samples
         expected = per_state_sum(weights, lambda state: explicit_mean(state, phis))
         np.testing.assert_allclose(row, expected, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_monte_carlo_power_sums_match_explicit_exponentials(kind, monkeypatch):
+    # a 40 MHz carrier takes |phi| to 1.0e4 rad at a 40 us delay; three
+    # batches, the last one partial
+    field = FieldConfig(omega0=TWO_PI * 40e6, b1=13.5 * MG_PER_MM)
+    spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=2 * ensemble._MC_BATCH + 100)
+    tau1 = np.array([0.0, 20e-6, 40e-6])
+    tau2 = 2 * tau1 if kind is SequenceKind.ECHO else None
+    drawn = []
+    phase = ensemble._phase
+
+    def recording(*args):
+        drawn.append(phase(*args))
+        return drawn[-1]
+
+    # coefficients that read the harmonic means out as channels: channel k
+    # gets Re(2 <z^k>) and channel 4 + k gets Re(-2i <z^k>) = 2 Im <z^k>
+    readout = np.zeros((5, 9, 1), dtype=complex)
+    readout[0, 0] = 1
+    for k in range(1, 5):
+        readout[k, k], readout[k, 4 + k] = 1, -1j
+    monkeypatch.setattr(ensemble, "_phase", recording)
+    monkeypatch.setattr(ensemble, "_phase_harmonics", lambda first, last, columns: readout)
+    curve = ensemble_average_curve(
+        field, spec, kind, tau1, tau2, PLUS2, AverageMethod.MONTE_CARLO
+    )
+    means = (curve[:, 1:5] + 1j * curve[:, 5:]) / 2
+    # Round-off, in units of u = 2^-53.  z = e^{i phi} is within 1 ulp <= 2u
+    # per component, and a complex product adds at most sqrt(5) u (Brent,
+    # Percival & Zimmermann, Math. Comp. 76, 1469 (2007)), so z^4 after three
+    # multiplies is within 4 * 2u + 3 sqrt(5) u of e^{4 i phi}.  numpy sums a
+    # batch pairwise, in blocks of at most 128 doubles with eight running
+    # partial sums: a value passes through at most 16 + 3 additions in its
+    # block and 8 more across a 16,384-sample batch.  Three batch sums and the
+    # division by n_samples add 4 roundings.  The reference forms k phi
+    # exactly in long double (k <= 4 needs 55 mantissa bits; x86-64 has 64)
+    # and is good to about 1e-18.
+    u = 2.0**-53
+    bound = (4 * 2 + 3 * math.sqrt(5)) * u + (16 + 3 + 8 + 4) * u
+    assert np.finfo(np.longdouble).nmant >= 54
+    k = np.arange(1, 5)
+    for t, row in enumerate(means):
+        phis = np.concatenate(drawn[t :: tau1.size])  # batch-major: one call per batch and timing
+        assert phis.size == spec.n_samples
+        reference = np.exp(1j * np.multiply.outer(phis.astype(np.longdouble), k)).mean(axis=0)
+        np.testing.assert_array_less(np.abs(row.real - reference.real.astype(float)), bound)
+        np.testing.assert_array_less(np.abs(row.imag - reference.imag.astype(float)), bound)
+    assert np.all(curve[:, 0] == 1.0)
+    assert np.abs(drawn[tau1.size - 1]).max() > 1e4
 
 
 def test_monte_carlo_curve_draws_each_batch_once(monkeypatch):

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import uniform_phase_average
-from spinorlab.core import build_spin_system, populations, zeeman_state
+from spinorlab.core import StateVector, build_spin_system, populations, zeeman_state
 from spinorlab.rotations import (
     Angle,
     RotationAxis,
-    apply_rotation,
     equilibrium_populations,
     rotation_operator,
     rotation_population_curve,
@@ -31,13 +30,13 @@ def test_zero_angle_is_identity():
 
 def test_pi_rotation_inverts_stretched_state():
     d = rotation_operator(SYS2, RotationAxis.X, math.pi)
-    p = populations(apply_rotation(zeeman_state(2, 2), d)).p
+    p = populations(StateVector(d @ zeeman_state(2, 2).amplitudes)).p
     assert np.allclose(p, [0, 0, 0, 0, 1], atol=1e-12)
 
 
 def test_half_pi_rotation_of_stretched_state():
     d = rotation_operator(SYS2, RotationAxis.X, Angle(math.pi / 2))
-    p = populations(apply_rotation(zeeman_state(2, 2), d)).p
+    p = populations(StateVector(d @ zeeman_state(2, 2).amplitudes)).p
     assert np.allclose(p, [1 / 16, 1 / 4, 3 / 8, 1 / 4, 1 / 16], atol=1e-12)
 
 
