@@ -5,7 +5,9 @@ Clebsch-Gordan oracle builds coupled states by ladder operators and
 null-space extraction in the product basis (no Racah sum), the phase
 average oracle integrates over an explicit phase grid, and the RF oracle
 integrates the Schrodinger equation with an adaptive Runge-Kutta method
-(no Magnus steps, no period).
+(no Magnus steps, no period), and the chain oracle integrates the STIRAP
+chain one chain at a time from its Hamiltonian at each instant (no stacked
+state, no stage batches, no tableau of its own).
 """
 
 import numpy as np
@@ -106,3 +108,22 @@ def rf_populations(frame: str, w0, w, rabi, shifts, columns, times):
     )
     assert sol.success, sol.message
     return np.abs(sol.y.T.reshape(-1, dim, k)[inverse]) ** 2
+
+
+def chain_trace(params, times):
+    """States (times.size, 5) of one STIRAP chain from |+2> at times[0],
+    under i dpsi/dt = H(t) psi with H(t) = ``chain_hamiltonian`` of the beam
+    amplitudes ``pulse_envelopes`` gives at t, by SciPy's DOP853 (rtol
+    1e-12) with its dense output at ``times``."""
+    from spinorlab.stirap import chain_hamiltonian, pulse_envelopes
+
+    def rhs(t, y):
+        stokes, pump = pulse_envelopes(params, t)
+        return -1j * chain_hamiltonian(params, pump, stokes) @ y
+
+    sol = solve_ivp(
+        rhs, (times[0], times[-1]), np.eye(5, dtype=complex)[0], method="DOP853",
+        t_eval=times, rtol=1e-12, atol=1e-14,
+    )
+    assert sol.success, sol.message
+    return sol.y.T

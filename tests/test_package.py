@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import spinorlab
+from test_golden_csv import CONFIGS as GOLDEN_CONFIGS
 
 
 def test_public_names():
@@ -73,9 +74,9 @@ def test_public_names():
     ]
 
 
-def test_rabi_run_imports_no_scipy(tmp_path):
-    """SciPy loads only when a STIRAP solve needs it, so the RF, Ramsey,
-    echo and fit scenarios start without its import time."""
+def test_no_scenario_imports_scipy(tmp_path):
+    """No scenario imports SciPy, so the RF, STIRAP, Ramsey, echo and fit
+    scenarios all start without its import time."""
     data = Path(__file__).parent / "data"
     configs = {
         "rabi": "scenario: rabi\nomega0: 800 kHz\nomega_rabi: 95 kHz\nduration: 42 us\n"
@@ -84,6 +85,7 @@ def test_rabi_run_imports_no_scipy(tmp_path):
         "fit-ramsey": f"scenario: fit-ramsey\ndata: {data / 'fit-input-ramsey.csv'}\n"
         "b0: 179 mG\nsigma_z0: 0.73 mm\nt_axial: 0.2 mK\n",
         "fit-echo": f"scenario: fit-echo\ndata: {data / 'fit-input-echo.csv'}\nt_axial: 0.2 mK\n",
+        **{name: GOLDEN_CONFIGS[name] for name in ("stirap-lossless", "stirap-lossy", "fstirap-scan")},
     }
     script = ["import sys, spinorlab, spinorlab.cli"]
     for name, text in configs.items():

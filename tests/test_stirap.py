@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate._ivp import dop853_coefficients
 
-from oracles import ladder_cg_table
+from oracles import chain_trace, ladder_cg_table
+from spinorlab import stirap
 from spinorlab.stirap import (
     PUMP_CG,
     STOKES_CG,
@@ -275,3 +278,64 @@ def test_trace_shapes_and_survival():
     assert np.allclose(pops.sum(axis=1), 1.0, atol=1e-9)
     assert np.allclose(survival, 1.0, atol=1e-9)
     assert pops[0, 0] > 0.999 and pops[-1, 4] > 0.99
+
+
+# ---------------------------------------------------- stepper and its oracle
+
+
+def test_dop853_tableau_is_hairers():
+    ref = dop853_coefficients
+    assert np.array_equal(stirap._A, np.vstack((ref.A[:12, :12], ref.B)))
+    assert np.array_equal(stirap._C, ref.C[:13])
+    # the error weights on the 13th evaluation, f at the step's end, are zero
+    assert ref.E5[12] == ref.E3[12] == 0
+    assert np.array_equal(stirap._E, [ref.E5[:12], ref.E3[:12]])
+    # order conditions: row sums give the nodes, the weights integrate c^k exactly
+    b, c = stirap._A[12], stirap._C[:12]
+    assert np.allclose(stirap._A.sum(axis=1), stirap._C, rtol=0, atol=1e-13)
+    for k in range(8):
+        assert b @ c**k == pytest.approx(1 / (k + 1), abs=1e-14), k
+    assert np.allclose(stirap._E.sum(axis=1), 0, rtol=0, atol=1e-14)
+
+
+# lossy and fractional, two-photon detuned, intuitive order with loss, and the
+# narrowest window: stacked, each chain is solved over the union of all four
+ORACLE_CHAINS = [
+    paper_pulses(gamma_e=TWO_PI * 4e6, eta=0.5),
+    paper_pulses(delta_t=0.4e-6, two_photon_detuning=TWO_PI * 300e3),
+    paper_pulses(delta_t=-0.5e-6, eta=1.5, gamma_e=TWO_PI * 1e6),
+    paper_pulses(tau_pulse=0.3e-6, delta_t=0.2e-6, omega0_peak=TWO_PI * 60e6, gamma_e=TWO_PI * 2e6),
+]
+
+
+@pytest.fixture(scope="module")
+def oracle_traces():
+    """Each oracle chain's 41-point trace over its own window, by the oracle."""
+    return [np.abs(chain_trace(p, np.linspace(*_window(p), 41))) ** 2 for p in ORACLE_CHAINS]
+
+
+@pytest.mark.parametrize("index", range(len(ORACLE_CHAINS)))
+def test_trace_matches_time_domain_oracle(index, oracle_traces):
+    times, pops, survival = stirap_trace(ORACLE_CHAINS[index], n_points=41)
+    raw = oracle_traces[index]
+    assert np.max(np.abs(pops - raw / raw.sum(axis=1, keepdims=True))) < 1e-9
+    assert np.max(np.abs(survival - np.minimum(raw.sum(axis=1), 1.0))) < 1e-9
+
+
+def test_stacked_solve_matches_time_domain_oracle(oracle_traces):
+    for raw, (final, survival) in zip(oracle_traces, simulate_stirap(ORACLE_CHAINS)):
+        expected = raw[-1]
+        assert np.max(np.abs(np.abs(final.amplitudes) ** 2 - expected / expected.sum())) < 1e-9
+        assert abs(survival - min(expected.sum(), 1.0)) < 1e-9
+
+
+def test_two_hundred_chain_scan_keeps_no_trajectory():
+    chains = [paper_pulses(eta=float(eta)) for eta in np.linspace(0.0, 2.0, 200)]
+    tracemalloc.start()
+    try:
+        simulate_stirap(chains)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a stored step history would be ~16 kB per step here, over 1,000 steps
+    assert peak < 5e6, peak
