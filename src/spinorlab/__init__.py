@@ -20,26 +20,21 @@ from .core import (
     zeeman_state,
 )
 from .rotations import (
-    Angle,
     RotationAxis,
     equilibrium_populations,
     rotation_operator,
     rotation_population_curve,
-    rotation_populations,
     two_level_population,
 )
 from .propagator import (
-    ClassicalSpin,
     FieldConfig,
     HamiltonianKind,
     HamiltonianSpec,
     NumericalError,
-    evolve_classical,
     evolve_populations,
     evolve_state,
     lab_frame_state,
     lightshift_from_scale,
-    lightshift_vector,
     rotating_frame_state,
 )
 from .stirap import (
@@ -47,7 +42,6 @@ from .stirap import (
     STOKES_CG,
     NonAdiabaticPulseWarning,
     StirapParams,
-    dark_state,
     fstirap_populations_closed,
     pulse_envelopes,
     simulate_stirap,
@@ -61,11 +55,7 @@ from .ensemble import (
     echo_envelope,
     ensemble_average,
     ensemble_average_curve,
-    phase_echo,
-    phase_ramsey,
-    ramsey_damped_cosine,
     ramsey_envelope,
-    single_atom_sequence,
 )
 from .fit import FitResult, TimeSeries, fit_echo, fit_rabi, fit_ramsey
 

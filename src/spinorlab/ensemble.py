@@ -5,12 +5,12 @@ phi carries the field information.  With the z-rotation convention
 Dz(phi) = exp(-i phi Jz) (sign documented here once; population-level
 results do not depend on it) the two sequences are
 
-    Ramsey:  Dx(pi/2)  Dz(phi)  Dx(pi/2),   phi = phase_ramsey(...)
-    Echo:    Dx(3pi/2) Dz(phi)  Dx(pi/2),   phi = phase_echo(...)
+    Ramsey:  Dx(pi/2)  Dz(phi)  Dx(pi/2)
+    Echo:    Dx(3pi/2) Dz(phi)  Dx(pi/2)
 
-where the echo form already absorbs the refocusing pi pulse: a pi rotation
-about x conjugates Dz(a) into Dz(-a), which flips the sign of the phase
-accumulated before it.
+with phi formed in one place, ``_phase``.  The echo form already absorbs
+the refocusing pi pulse: a pi rotation about x conjugates Dz(a) into
+Dz(-a), which flips the sign of the phase accumulated before it.
 
 Ensemble averaging.  For an atom starting at z0 with velocity vz in the
 field B0 + B1 z, the phase of either sequence is linear in (z0, vz):
@@ -18,9 +18,9 @@ field B0 + B1 z, the phase of either sequence is linear in (z0, vz):
     phi = a + g_z z0 + g_v vz,
 
 and ``_phase_terms`` is the one place the coefficients (a, g_z, g_v) are
-written; the single-atom phases, the analytic mean and variance, and the
-envelopes all read them; a carries ``FieldConfig.resonance`` (gamma B0, or
-omega0 when given).  Over a Gaussian position spread and a thermal
+written; ``_phase``, the analytic mean and variance, and the envelopes all
+read them; a carries ``FieldConfig.resonance`` (gamma B0, or omega0 when
+given).  Over a Gaussian position spread and a thermal
 (Gaussian) velocity marginal the phase is a + Z with Z zero-mean Gaussian of
 variance (g_z sigma_z0)^2 + (g_v sigma_vz)^2, so <e^{i k phi}> =
 e^{i k a} e^{-k^2 var(Z)/2}.  A spin-j sequence population
@@ -41,8 +41,9 @@ the populations, within statistics of the analytic path.  A batch takes one
 complex exponential per sample, z = e^{i phi}, and forms e^{i k phi} as the
 running powers z^2, z^3, z^4 by multiplication.  Each power is within a few
 ulp of e^{i k phi} however large phi is, where exp(i k phi) would first
-round k phi.  The explicit product of ``single_atom_sequence`` cross-checks
-the harmonics.  Both paths are linear in an initial Populations, an
+round k phi.  The tests cross-check the harmonics against the explicit
+product of rotation matrices in the oracle ``single_atom_sequence``
+(tests/oracles.py).  Both paths are linear in an initial Populations, an
 incoherent mixture of the Zeeman basis states, so one set of f_k serves a
 whole mixture.
 """
@@ -67,7 +68,7 @@ from .core import (
     zeeman_state,
 )
 from .propagator import FieldConfig
-from .rotations import Angle, RotationAxis, rotation_operator
+from .rotations import RotationAxis, rotation_operator
 
 _MC_BATCH = 16384
 
@@ -133,27 +134,17 @@ def _phase_terms(field: FieldConfig, kind: SequenceKind, tau1, tau2):
 
 
 def _phase(field: FieldConfig, kind: SequenceKind, z0, vz, tau1: float, tau2: float):
-    """Free-evolution phase of :func:`phase_ramsey` or :func:`phase_echo`;
-    z0 and vz may be arrays."""
+    """Free-evolution phase of one atom; z0 and vz may be arrays.
+
+    Ramsey:  gamma B0 tau1 + gamma B1 (z0 tau1 + vz tau1^2 / 2).
+    Echo, where the pre-pi interval counts with opposite sign:
+             -gamma B0 (tau2 - tau1) - gamma B1 z0 (tau2 - tau1)
+             + gamma B1 vz [(tau2 - tau1)^2 - 2 tau2^2] / 2,
+    so static atoms (vz = 0) rephase exactly at tau1 = tau2 and moving atoms
+    keep -gamma B1 vz tau^2 there.
+    """
     a, g_z, g_v = _phase_terms(field, kind, tau1, tau2)
     return a + g_z * z0 + g_v * vz
-
-
-def phase_ramsey(field: FieldConfig, z0: float, vz: float, tau1: float) -> Angle:
-    """Free-evolution phase gamma*B0*tau1 + gamma*B1*(z0 tau1 + vz tau1^2/2)."""
-    return Angle(_phase(field, SequenceKind.RAMSEY, z0, vz, tau1, 0.0))
-
-
-def phase_echo(field: FieldConfig, z0: float, vz: float, tau1: float, tau2: float) -> Angle:
-    """Net echo phase: the pre-pi interval counts with opposite sign,
-
-    phi = -gamma*B0 (tau2-tau1) - gamma*B1 z0 (tau2-tau1)
-          + gamma*B1 vz [(tau2-tau1)^2 - 2 tau2^2] / 2.
-
-    Static atoms (vz=0) rephase exactly at tau1 = tau2; moving atoms keep
-    phi = -gamma*B1*vz*tau_tilde^2 there.
-    """
-    return Angle(_phase(field, SequenceKind.ECHO, z0, vz, tau1, tau2))
 
 
 @lru_cache(maxsize=None)
@@ -165,14 +156,6 @@ def _dx_pair(two_j: int, kind: SequenceKind):
         rotation_operator(sys, RotationAxis.X, last),
         sys.m_values.copy(),
     )
-
-
-def single_atom_sequence(initial: StateVector, kind: SequenceKind, phi) -> Populations:
-    """Populations after the ideal pulse sequence with net z phase phi: the
-    explicit product Dx_last Dz(phi) Dx_first that the harmonics are tested on."""
-    dx_first, dx_last, m = _dx_pair(initial.amplitudes.size - 1, kind)
-    p = np.abs(dx_last @ (np.exp(-1j * float(phi) * m) * (dx_first @ initial.amplitudes))) ** 2
-    return Populations(p / p.sum())
 
 
 def _phase_harmonics(first: np.ndarray, last: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -202,12 +185,6 @@ def ramsey_envelope(field: FieldConfig, spec: EnsembleSpec, tau1) -> np.ndarray 
     the velocity spread."""
     _, var = _carrier_and_variance(field, spec, SequenceKind.RAMSEY, tau1, 0.0)
     return _scalar_or_array(np.exp(-0.5 * var))
-
-
-def ramsey_damped_cosine(field: FieldConfig, spec: EnsembleSpec, tau1) -> np.ndarray | float:
-    """<cos phi(tau1)>: the carrier cos(gamma B0 tau1) times the envelope."""
-    a, var = _carrier_and_variance(field, spec, SequenceKind.RAMSEY, tau1, 0.0)
-    return _scalar_or_array(np.cos(a) * np.exp(-0.5 * var))
 
 
 def echo_envelope(field: FieldConfig, spec: EnsembleSpec, tau1, tau2) -> np.ndarray | float:

@@ -29,21 +29,14 @@ is unitary by construction and the rule is fourth-order accurate.  The
 steps are exponentiated in chunks of _CHUNK with one batched eigh, so the
 temporaries stay bounded however fine the period is cut, and multiplied in
 order, keeping U only at the sample phases and at T.  Convergence is
-certified by doubling the steps per period until the whole observed trace
-moves by less than tol.  The budget is _STEP_BUDGET steps per period, or
-_MIN_DOUBLINGS doublings past the first count when that is more, so a drive
-much slower than the fastest scale of H, whose first count can pass
-_STEP_BUDGET, still gets passes to compare; past the budget NumericalError
-names it, the last step count and change.  A trace shorter than one period
-is propagated over its own span.
-
-Classical counterpart: the torque equation dJ/dt = b(t) x J with the same
-coefficient vector b that appears in H = b . J.  It is the same stepper in
-the spin-1 Cartesian representation (L_k)_ij = -i eps_kij: with H = b . L
-the Schrodinger equation for a real 3-vector J reads dJ/dt = b x J, which is
-the Ehrenfest companion of the quantum evolution (the sign convention is
-fixed by that correspondence).  Each step is unitary on the 3-vector, i.e.
-an exact rotation, so |J| is conserved.
+certified by doubling the steps per period until the populations of the
+whole trace move by less than tol.  The budget is _STEP_BUDGET steps per
+period, or _MIN_DOUBLINGS doublings past the first count when that is more,
+so a drive much slower than the fastest scale of H, whose first count can
+pass _STEP_BUDGET, still gets passes to compare; past the budget
+NumericalError names it, the last step count and change.  A trace shorter
+than one period is propagated over its own span.  Every sample of a trace
+must keep unit norm to 1e-9.
 """
 
 from __future__ import annotations
@@ -57,6 +50,7 @@ import numpy as np
 from .core import (
     CONSTANTS,
     Populations,
+    SpinSystem,
     StateVector,
     build_spin_system,
     clebsch_gordan,
@@ -72,9 +66,10 @@ class NumericalError(RuntimeError):
 class FieldConfig:
     """Static and RF field settings, SI units.
 
-    b0 (T) and omega0 (rad/s) are treated as independent knobs: if only one
-    is given the other is derived through gamma = g_j mu_B / hbar, but both
-    may be supplied as-measured without a consistency requirement.
+    The resonance frequency is omega0 (rad/s) when given, otherwise it is
+    derived from b0 (T) through gamma = g_j mu_B / hbar.  b0 is never derived
+    from omega0, and when both are given omega0 wins, with no consistency
+    requirement between them.
     """
 
     b0: float = 0.0  # bias field, T
@@ -130,14 +125,14 @@ class HamiltonianSpec:
             raise ValueError("LAB_LIGHT_SHIFT requires a light_shifts vector")
 
 
-def _hamiltonian(spec: HamiltonianSpec, ops):
-    """Return (H, T, top) for the operator triple ops = (jx, jy, jz): H maps
-    an array of times to the stack of H(t), T is the period of H (None when
-    H is static) and top is its fastest angular frequency scale."""
+def _hamiltonian(spec: HamiltonianSpec, sys: SpinSystem):
+    """Return (H, T, top) in the spin system ``sys``: H maps an array of times
+    to the stack of H(t), T is the period of H (None when H is static) and
+    top is its fastest angular frequency scale."""
     w0 = spec.field.resonance
     w = spec.field.omega_rf
     rabi = spec.field.omega_rabi
-    jx, jy, jz = ops
+    jx, jy, jz = sys.jx, sys.jy, sys.jz
     kind = spec.kind
 
     if kind is HamiltonianKind.ROT_RWA:
@@ -156,9 +151,8 @@ def _hamiltonian(spec: HamiltonianSpec, ops):
     h_static = w0 * jz
     top = max(abs(w0), abs(w), rabi)
     if kind is HamiltonianKind.LAB_LIGHT_SHIFT:
-        dim = jz.shape[0]
-        if spec.light_shifts.shape != (dim,):
-            raise ValueError(f"light_shifts must have length {dim}")
+        if spec.light_shifts.shape != (sys.dim,):
+            raise ValueError(f"light_shifts must have length {sys.dim}")
         h_static = h_static + np.diag(spec.light_shifts)
         top = max(top, float(np.max(np.abs(spec.light_shifts))))
 
@@ -218,49 +212,45 @@ def _populations(amplitudes: np.ndarray) -> np.ndarray:
     return np.abs(amplitudes) ** 2
 
 
-def _evolve(spec: HamiltonianSpec, ops, psi0: np.ndarray, times, tol: float, observe):
-    """Trace of the (dim, columns) block psi0 under the spec's Hamiltonian in
-    the operator triple ``ops``, shape (times.size, dim, columns).  A static H
-    is one exact exponential; for a periodic H the steps per period are
-    doubled until observe(trace) moves by less than ``tol`` everywhere."""
+def _evolve(spec: HamiltonianSpec, psi0: np.ndarray, times, tol: float) -> np.ndarray:
+    """Trace of the (dim, columns) amplitude block psi0 under the spec's
+    Hamiltonian, shape (times.size, dim, columns).  A static H is one exact
+    exponential; for a periodic H the steps per period are doubled until the
+    populations of the trace move by less than ``tol`` everywhere.  Every
+    sample must keep unit norm to 1e-9."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) < 0):
         raise ValueError("times must be a non-empty, non-decreasing 1-d array")
-    h_of_t, period, top = _hamiltonian(spec, ops)
+    h_of_t, period, top = _hamiltonian(spec, build_spin_system((psi0.shape[0] - 1) / 2))
     if not np.all(np.isfinite(h_of_t(times[[0, -1]]))):
         raise NumericalError("Hamiltonian has non-finite entries")
     elapsed = times - times[0]
     if period is None:
         w, v = np.linalg.eigh(h_of_t(times[0]))  # U - 1 = V (exp(-i w t) - 1) V^+, exact at t = 0
         turn = np.exp(-1j * np.multiply.outer(elapsed, w)) - 1
-        return psi0 + v @ (turn[..., None] * (v.conj().T @ psi0))
-    window = min(period, elapsed[-1])  # a trace shorter than a period is its own window
-    cycles = np.floor(elapsed / period).astype(int)
-    phases = np.clip(elapsed - cycles * period, 0.0, window)
-    steps = max(1, math.ceil(100 * top * window / (2 * math.pi)))  # 1/100 of the fastest period
-    budget = max(_STEP_BUDGET, steps * 2**_MIN_DOUBLINGS)
-    prev = None
-    while steps <= budget:
-        trace = _propagate(h_of_t, psi0, times[0], window, phases, cycles, steps)
-        cur = observe(trace)
-        if prev is not None:
-            change = float(np.max(np.abs(cur - prev)))
-            if change < tol:
-                return trace
-        prev, steps = cur, steps * 2
-    raise NumericalError(
-        f"step budget of {budget} steps per period exhausted: not converged at "
-        f"{steps // 2} steps per period, last change {change:.3g} against tol {tol:.3g}"
-    )
-
-
-def _evolve_spin(columns: np.ndarray, spec: HamiltonianSpec, times, tol: float) -> np.ndarray:
-    """Quantum trace of the amplitude columns, converged on populations;
-    every sample must keep unit norm to 1e-9."""
-    sys = build_spin_system((columns.shape[0] - 1) / 2)
-    trace = _evolve(spec, (sys.jx, sys.jy, sys.jz), columns, times, tol, _populations)
+        trace = psi0 + v @ (turn[..., None] * (v.conj().T @ psi0))
+    else:
+        window = min(period, elapsed[-1])  # a trace shorter than a period is its own window
+        cycles = np.floor(elapsed / period).astype(int)
+        phases = np.clip(elapsed - cycles * period, 0.0, window)
+        steps = max(1, math.ceil(100 * top * window / (2 * math.pi)))  # 1/100 of the fastest period
+        budget = max(_STEP_BUDGET, steps * 2**_MIN_DOUBLINGS)
+        prev = None
+        while steps <= budget:
+            trace = _propagate(h_of_t, psi0, times[0], window, phases, cycles, steps)
+            cur = _populations(trace)
+            if prev is not None:
+                change = float(np.max(np.abs(cur - prev)))
+                if change < tol:
+                    break
+            prev, steps = cur, steps * 2
+        else:
+            raise NumericalError(
+                f"step budget of {budget} steps per period exhausted: not converged at "
+                f"{steps // 2} steps per period, last change {change:.3g} against tol {tol:.3g}"
+            )
     if np.max(np.abs(_populations(trace).sum(axis=1) - 1)) > 1e-9:
         raise NumericalError("norm drifted beyond 1e-9")
     return trace
@@ -281,7 +271,7 @@ def evolve_populations(
     step budget NumericalError is raised.
     """
     columns, weights = mixture_columns(state)
-    return _populations(_evolve_spin(columns, spec, times, tol)) @ weights
+    return _populations(_evolve(spec, columns, times, tol)) @ weights
 
 
 def evolve_state(
@@ -294,7 +284,7 @@ def evolve_state(
     """Evolve a state from t0 to t1; converged by step doubling on populations."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    return StateVector(_evolve_spin(state.amplitudes[:, None], spec, [t0, t1], tol)[-1, :, 0])
+    return StateVector(_evolve(spec, state.amplitudes[:, None], [t0, t1], tol)[-1, :, 0])
 
 
 def rotating_frame_state(state: StateVector, omega_rf: float, t: float) -> StateVector:
@@ -309,64 +299,9 @@ def lab_frame_state(state: StateVector, omega_rf: float, t: float) -> StateVecto
     return rotating_frame_state(state, -omega_rf, t)
 
 
-@dataclass(frozen=True)
-class ClassicalSpin:
-    """Classical angular momentum vector, units of hbar."""
-
-    jx: float
-    jy: float
-    jz: float
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.jx, self.jy, self.jz])
-
-    def magnitude(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
-
-# Cartesian spin-1 generators (L_k)_ij = -i eps_kij: H = b . L moves a real
-# 3-vector by dJ/dt = -i (b . L) J = b x J
-_CARTESIAN = (
-    np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]]),
-    np.array([[0, 0, 1j], [0, 0, 0], [-1j, 0, 0]]),
-    np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]]),
-)
-
-
-def evolve_classical(
-    spin: ClassicalSpin,
-    spec: HamiltonianSpec,
-    t0: float,
-    t1: float,
-    tol: float = 1e-8,
-) -> ClassicalSpin:
-    """Integrate dJ/dt = b(t) x J; every step is a rotation, so |J| is exact."""
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
-    if spec.kind is HamiltonianKind.LAB_LIGHT_SHIFT:
-        raise ValueError("classical torque evolution is only defined for linear-in-J Hamiltonians")
-    trace = _evolve(spec, _CARTESIAN, spin.vector[:, None], [t0, t1], tol, np.real)
-    return ClassicalSpin(*trace[-1, :, 0].real)
-
-
 def _sigma_plus_weights() -> np.ndarray:
     """|<2 m; 1 1 | 1 m+1>|^2 for m = +2 ... -2 (zero without a J'=1 partner)."""
     return np.array([clebsch_gordan(2, m, 1, 1, 1, m + 1) ** 2 for m in (2, 1, 0, -1, -2)])
-
-
-def lightshift_vector(omega_light: float, detuning: float) -> np.ndarray:
-    """AC-Stark shifts of the five m states from far-detuned sigma+ light
-    driving J=2 -> J'=1, in rad/s, basis m = +2 ... -2.
-
-    shift_m = |c_m|^2 * omega_light^2 / (4 * detuning), with c_m the
-    Clebsch-Gordan factor <2 m; 1 1 | 1 m+1>.  States m = +2, +1 have no
-    sigma+ partner in J'=1 and are unshifted, which is what isolates the
-    (+2, +1) two-level system.
-    """
-    if detuning == 0:
-        raise ValueError("detuning must be nonzero")
-    return _sigma_plus_weights() * omega_light**2 / (4 * detuning)
 
 
 def lightshift_from_scale(scale: float) -> np.ndarray:

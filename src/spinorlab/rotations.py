@@ -3,13 +3,12 @@
 The closed forms here are the oracles for the numerical propagator: a
 resonant drive in the rotating-wave picture is exactly a rotation about the
 transverse axis by theta = Omega*t/2, so every Rabi curve of the five-level
-system can be checked against ``rotation_populations``.
+system can be checked against ``rotation_population_curve``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -22,18 +21,6 @@ class RotationAxis(Enum):
     X = "x"
     Y = "y"
     Z = "z"
-
-
-@dataclass(frozen=True)
-class Angle:
-    radians: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.radians):
-            raise ValueError("angle must be finite")
-
-    def __float__(self) -> float:
-        return float(self.radians)
 
 
 @lru_cache(maxsize=None)
@@ -119,11 +106,6 @@ def rotation_population_curve(initial_m: int, theta) -> np.ndarray:
     if initial_m == -2:
         return _columns_from_plus2(theta)[..., ::-1]
     raise ValueError(f"initial_m must be one of +2, +1, 0, -1, -2; got {initial_m}")
-
-
-def rotation_populations(initial_m: int, theta) -> Populations:
-    """Scalar-angle version of :func:`rotation_population_curve`."""
-    return Populations(rotation_population_curve(initial_m, float(theta)))
 
 
 def two_level_population(t: float, omega: float, p2_0: float, p1_0: float):

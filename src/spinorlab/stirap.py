@@ -132,24 +132,6 @@ def fstirap_populations_closed(eta: float) -> Populations:
     return Populations(np.array([3 * eta**4, 6 * eta**2, 2.0]) / denom)
 
 
-def dark_state(eta: float) -> StateVector:
-    """Asymptotic (t -> +inf) dark state of the chain for pulse ratio eta.
-
-    Zero amplitude on both excited states; with the physical couplings
-    PUMP_CG and STOKES_CG its populations reproduce
-    :func:`fstirap_populations_closed`.  Written in a form regular at
-    eta = 0, where it reduces to |0>.
-    """
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    a1, a2 = PUMP_CG
-    b1, b2 = STOKES_CG
-    amps = np.array(
-        [eta**2, 0.0, -eta * a1 / b1, 0.0, a1 * a2 / (b1 * b2)], dtype=complex
-    )
-    return StateVector.normalized(amps)
-
-
 def chain_hamiltonian(p: StirapParams, omega_pump: float, omega_stokes: float) -> np.ndarray:
     """Instantaneous chain Hamiltonian for given beam amplitudes (rad/s)."""
     d2 = p.two_photon_detuning

@@ -3,12 +3,16 @@
 These deliberately avoid the implementation paths they check: the
 Clebsch-Gordan oracle builds coupled states by ladder operators and
 null-space extraction in the product basis (no Racah sum), the phase
-average oracle integrates over an explicit phase grid, and the RF oracle
+average oracle integrates over an explicit phase grid, the sequence oracle
+multiplies out the rotation matrices of each pulse and free evolution (no
+phase harmonics), and the RF oracle
 integrates the Schrodinger equation with an adaptive Runge-Kutta method
 (no Magnus steps, no period), and the chain oracle integrates the STIRAP
 chain one chain at a time from its Hamiltonian at each instant (no stacked
 state, no stage batches, no tableau of its own).
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -78,6 +82,26 @@ def uniform_phase_average(dx: np.ndarray, m_values: np.ndarray, initial: np.ndar
     phases = np.exp(-1j * np.multiply.outer(phis, m_values))
     amps = (phases * v[None, :]) @ dx.T
     return np.mean(np.abs(amps) ** 2, axis=0)
+
+
+def single_atom_sequence(initial, kind, phi):
+    """Populations after Dx(last) Dz(phi) Dx(pi/2) |initial>, with last = pi/2
+    for Ramsey and 3 pi/2 for echo, as the explicit product of
+    ``rotation_operator`` matrices.  ``phi`` may be an array; the result has
+    shape phi.shape + (dim,)."""
+    from spinorlab.core import build_spin_system
+    from spinorlab.ensemble import SequenceKind
+    from spinorlab.rotations import RotationAxis, rotation_operator
+
+    sys = build_spin_system((initial.dim - 1) / 2)
+    last = math.pi / 2 if kind is SequenceKind.RAMSEY else 3 * math.pi / 2
+    sequence = (
+        rotation_operator(sys, RotationAxis.X, last)
+        @ rotation_operator(sys, RotationAxis.Z, phi)
+        @ rotation_operator(sys, RotationAxis.X, math.pi / 2)
+    )
+    p = np.abs(sequence @ initial.amplitudes) ** 2
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def rf_populations(frame: str, w0, w, rabi, shifts, columns, times):

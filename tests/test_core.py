@@ -15,7 +15,6 @@ from spinorlab.core import (
     populations,
     zeeman_state,
 )
-from spinorlab.stirap import chain_to_zeeman_populations, dark_state
 
 SPINS = [0.5, 1.0, 1.5, 2.0, 2.5]
 
@@ -65,12 +64,6 @@ def test_populations_of_stretched_state():
 def test_populations_of_even_superposition():
     state = StateVector.normalized([1, 0, 0, 0, 1])
     assert np.allclose(populations(state).p, [0.5, 0, 0, 0, 0.5])
-
-
-def test_populations_of_fractional_stirap_dark_state():
-    # eta = 1 target superposition: weights 3 : 6 : 2 over (+2, +1, 0)
-    mapped = chain_to_zeeman_populations(populations(dark_state(1.0)).p)
-    assert np.allclose(mapped, [3 / 11, 6 / 11, 2 / 11, 0, 0], atol=1e-12)
 
 
 def test_populations_rejects_unnormalized():

@@ -17,10 +17,8 @@ def test_public_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert exported == [
-        "Angle",
         "AverageMethod",
         "CONSTANTS",
-        "ClassicalSpin",
         "EnsembleSpec",
         "FieldConfig",
         "FitResult",
@@ -41,12 +39,10 @@ def test_public_names():
         "TimeSeries",
         "build_spin_system",
         "clebsch_gordan",
-        "dark_state",
         "echo_envelope",
         "ensemble_average",
         "ensemble_average_curve",
         "equilibrium_populations",
-        "evolve_classical",
         "evolve_populations",
         "evolve_state",
         "fit_echo",
@@ -55,19 +51,13 @@ def test_public_names():
         "fstirap_populations_closed",
         "lab_frame_state",
         "lightshift_from_scale",
-        "lightshift_vector",
-        "phase_echo",
-        "phase_ramsey",
         "populations",
         "pulse_envelopes",
-        "ramsey_damped_cosine",
         "ramsey_envelope",
         "rotating_frame_state",
         "rotation_operator",
         "rotation_population_curve",
-        "rotation_populations",
         "simulate_stirap",
-        "single_atom_sequence",
         "stirap_trace",
         "two_level_population",
         "zeeman_state",
