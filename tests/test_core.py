@@ -15,6 +15,7 @@ from spinorlab.core import (
     populations,
     zeeman_state,
 )
+from spinorlab.stirap import StirapParams, chain_hamiltonian, chain_to_zeeman_populations
 
 SPINS = [0.5, 1.0, 1.5, 2.0, 2.5]
 
@@ -64,6 +65,16 @@ def test_populations_of_stretched_state():
 def test_populations_of_even_superposition():
     state = StateVector.normalized([1, 0, 0, 0, 1])
     assert np.allclose(populations(state).p, [0.5, 0, 0, 0, 0.5])
+
+
+def test_populations_of_fractional_stirap_dark_state():
+    # eta = 1 target superposition: weights 3 : 6 : 2 over (+2, +1, 0), taken
+    # as the null vector of the STIRAP chain Hamiltonian on two-photon resonance
+    omega = 2 * math.pi * 40e6
+    params = StirapParams(omega0_peak=omega, tau_pulse=0.55e-6, delta_t=0.7e-6, eta=1.0)
+    dark = np.linalg.svd(chain_hamiltonian(params, omega, omega))[2][-1]
+    mapped = chain_to_zeeman_populations(populations(StateVector(dark)).p)
+    assert np.allclose(mapped, [3 / 11, 6 / 11, 2 / 11, 0, 0], atol=1e-12)
 
 
 def test_populations_rejects_unnormalized():

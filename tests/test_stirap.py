@@ -164,6 +164,14 @@ def chain_singular_values_and_null_vector(eta):
     return sigma, vh[-1]
 
 
+def test_dark_state_limits_and_weights():
+    _, dark0 = chain_singular_values_and_null_vector(0.0)
+    assert np.allclose(np.abs(dark0) ** 2, [0, 0, 0, 0, 1], atol=1e-15)
+    _, dark1 = chain_singular_values_and_null_vector(1.0)
+    mapped = chain_to_zeeman_populations(np.abs(dark1) ** 2)
+    assert np.allclose(mapped, [3 / 11, 6 / 11, 2 / 11, 0, 0], atol=1e-14)
+
+
 @pytest.mark.parametrize("eta", ETAS)
 def test_dark_state_is_annihilated(eta):
     # the chain has exactly one dark state: a single singular value at zero
