@@ -175,7 +175,7 @@ def _run_rabi(params: dict, kind: HamiltonianKind) -> RunOutput:
         shifts = lightshift_from_scale(params["shift_scale"])
     spec = HamiltonianSpec(kind=kind, field=cfg, light_shifts=shifts)
     times = np.linspace(0.0, params["duration"], params["points"])
-    pops = evolve_populations(_initial_mixture(params), spec, times, tol=1e-9)
+    pops = evolve_populations(_initial_mixture(params), spec, times)
     rows = np.column_stack([times * 1e6, pops])
     return RunOutput(["t_us", *P_COLUMNS], rows)
 

@@ -154,7 +154,6 @@ def _dx_pair(two_j: int, kind: SequenceKind):
     return (
         rotation_operator(sys, RotationAxis.X, math.pi / 2),
         rotation_operator(sys, RotationAxis.X, last),
-        sys.m_values.copy(),
     )
 
 
@@ -261,7 +260,7 @@ def ensemble_average_curve(
         t2 = np.zeros_like(t1)
     _check_delays(t1, t2)
     columns, weights = mixture_columns(initial)
-    dx_first, dx_last, _ = _dx_pair(columns.shape[0] - 1, kind)
+    dx_first, dx_last = _dx_pair(columns.shape[0] - 1, kind)
     coeffs = _phase_harmonics(dx_first, dx_last, columns) @ weights
     if method is AverageMethod.ANALYTIC:
         a, var = _carrier_and_variance(field, spec, kind, t1, t2)

@@ -435,7 +435,7 @@ def _basis_coefficients(kind: SequenceKind | None) -> np.ndarray:
         last = _axis_eig(len(ZEEMAN_M) - 1, RotationAxis.X)[1][:, ::-1]
         first = last.conj().T
     else:
-        first, last, _ = _dx_pair(len(ZEEMAN_M) - 1, kind)
+        first, last = _dx_pair(len(ZEEMAN_M) - 1, kind)
     coeffs = _phase_harmonics(first, last, np.eye(len(ZEEMAN_M)))
     coeffs = coeffs.reshape(coeffs.shape[0], -1)
     coeffs.flags.writeable = False  # shared by every caller through the cache

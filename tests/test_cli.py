@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinorlab import cli, fit, stirap
+from spinorlab import cli, fit, propagator, stirap
 from spinorlab.stirap import fstirap_populations_closed
 
 TWO_PI = 2 * math.pi
@@ -327,6 +327,17 @@ def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, "rabi.yaml", RABI_CONFIG)
     assert run_cli(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_step_budget_overrun_exits_two_and_names_the_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(propagator, "_STEP_BUDGET", 8)
+    text = RABI_CONFIG.replace("scenario: rabi", "scenario: rabi-lab")
+    cfg = write_config(tmp_path, "lab.yaml", text)
+    out = tmp_path / "x.csv"
+    assert run_cli(["run", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: step budget of 8 steps exhausted at t = "), err
+    assert not out.exists()
 
 
 def test_tsv_format(tmp_path):

@@ -262,7 +262,8 @@ def _standard_error(field, spec, timing) -> np.ndarray:
     z0 = rng.normal(0, spec.sigma_z0, 4000)
     vz = rng.normal(0, spec.sigma_vz, 4000)
     phis = ensemble._phase(field, timing.kind, z0, vz, timing.tau1, timing.tau2)
-    dx_first, dx_last, m = ensemble._dx_pair(4, timing.kind)
+    dx_first, dx_last = ensemble._dx_pair(4, timing.kind)
+    m = build_spin_system(2).m_values
     amps = (np.exp(-1j * np.multiply.outer(phis, m)) * (dx_first @ PLUS2.amplitudes)) @ dx_last.T
     samples = np.abs(amps) ** 2
     samples /= samples.sum(axis=1, keepdims=True)
@@ -333,7 +334,7 @@ def test_phase_harmonics_match_fft_of_the_sequence(kind):
     rng = np.random.default_rng(5)
     n = 16
     phis = 2 * math.pi * np.arange(n) / n
-    dx_first, dx_last, _ = ensemble._dx_pair(4, kind)
+    dx_first, dx_last = ensemble._dx_pair(4, kind)
     for _ in range(20):
         state = StateVector.normalized(rng.normal(size=5) + 1j * rng.normal(size=5))
         curve = single_atom_sequence(state, kind, phis)

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scipy.integrate._ivp import dop853_coefficients
+
 from oracles import ladder_cg_table, rf_populations
 from spinorlab import propagator
 from spinorlab.core import (
@@ -27,6 +29,7 @@ from spinorlab.propagator import (
     rotating_frame_state,
 )
 from spinorlab.rotations import rotation_population_curve, two_level_population
+from spinorlab.stirap import StirapParams, simulate_stirap
 
 TWO_PI = 2 * math.pi
 SYS2 = build_spin_system(2)
@@ -62,9 +65,8 @@ def test_mixture_runs_once_and_equals_weighted_per_state_runs(kind, monkeypatch)
     spec = HamiltonianSpec(kind, resonant(400, 95), light_shifts=shifts)
     times = np.linspace(0.0, 3e-6, 13)
     weights = np.array([0.5, 0.3, 0.0, 0.2, 0.0])
-    tol = 1e-9
     per_state = sum(
-        w * evolve_populations(zeeman_state(2, m), spec, times, tol)
+        w * evolve_populations(zeeman_state(2, m), spec, times)
         for w, m in zip(weights, ZEEMAN_M)
         if w
     )
@@ -76,9 +78,9 @@ def test_mixture_runs_once_and_equals_weighted_per_state_runs(kind, monkeypatch)
         return evolve(spec, psi0, *args)
 
     monkeypatch.setattr(propagator, "_evolve", counting)
-    mixed = evolve_populations(Populations(weights), spec, times, tol)
+    mixed = evolve_populations(Populations(weights), spec, times)
     assert blocks == [(5, 3)]  # one run for the three basis states of nonzero weight
-    assert np.max(np.abs(mixed - per_state)) < tol
+    assert np.max(np.abs(mixed - per_state)) < 1e-9
 
 
 def test_spec_validation():
@@ -92,7 +94,7 @@ def test_spec_validation():
 def test_jz_eigenstate_is_stationary_without_drive():
     cfg = FieldConfig(omega0=TWO_PI * 800e3, omega_rf=TWO_PI * 800e3, omega_rabi=0.0)
     spec = HamiltonianSpec(HamiltonianKind.LAB_FULL, cfg)
-    out = evolve_state(zeeman_state(2, 2), spec, 0.0, 30e-6, tol=1e-9)
+    out = evolve_state(zeeman_state(2, 2), spec, 0.0, 30e-6)
     assert np.allclose(populations(out).p, [1, 0, 0, 0, 0], atol=1e-9)
 
 
@@ -100,7 +102,7 @@ def test_resonant_rwa_pi_pulse_inverts():
     omega = TWO_PI * 95e3
     spec = HamiltonianSpec(HamiltonianKind.ROT_RWA, resonant(800, 95))
     # theta = Omega t / 2 = pi at t = 2 pi / Omega (~10.5 us)
-    out = evolve_state(zeeman_state(2, 2), spec, 0.0, TWO_PI / omega, tol=1e-10)
+    out = evolve_state(zeeman_state(2, 2), spec, 0.0, TWO_PI / omega)
     assert np.max(np.abs(populations(out).p - [0, 0, 0, 0, 1])) < 1e-6
 
 
@@ -110,8 +112,8 @@ def test_lab_full_matches_rotating_frame_integration():
     rot = HamiltonianSpec(HamiltonianKind.ROT_FULL, cfg)
     state = zeeman_state(2, 2)
     t1 = 18e-6
-    psi_lab = evolve_state(state, lab, 0.0, t1, tol=1e-9)
-    psi_rot = evolve_state(state, rot, 0.0, t1, tol=1e-9)
+    psi_lab = evolve_state(state, lab, 0.0, t1)
+    psi_rot = evolve_state(state, rot, 0.0, t1)
     back = lab_frame_state(psi_rot, cfg.omega_rf, t1)
     assert np.max(np.abs(psi_lab.amplitudes - back.amplitudes)) < 1e-6
 
@@ -124,43 +126,41 @@ def test_frame_transform_roundtrip_preserves_populations():
     assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
 
 
-def test_step_halving_convergence():
-    spec = HamiltonianSpec(HamiltonianKind.LAB_FULL, resonant(242, 160))
-    state = zeeman_state(2, 2)
-    loose = evolve_state(state, spec, 0.0, 10e-6, tol=1e-6)
-    tight = evolve_state(state, spec, 0.0, 10e-6, tol=1e-10)
-    assert np.max(np.abs(populations(loose).p - populations(tight).p)) < 1e-6
-    assert abs(loose.norm() - 1) < 1e-9
+def test_dop853_tableau_is_hairers():
+    ref = dop853_coefficients
+    assert np.array_equal(propagator._A, np.vstack((ref.A[:12, :12], ref.B)))
+    assert np.array_equal(propagator._C, ref.C[:13])
+    # the error weights on the 13th evaluation, f at the step's end, are zero
+    assert ref.E5[12] == ref.E3[12] == 0
+    assert np.array_equal(propagator._E, [ref.E5[:12], ref.E3[:12]])
+    # order conditions: row sums give the nodes, the weights integrate c^k exactly
+    b, c = propagator._A[12], propagator._C[:12]
+    assert np.allclose(propagator._A.sum(axis=1), propagator._C, rtol=0, atol=1e-13)
+    for k in range(8):
+        assert b @ c**k == pytest.approx(1 / (k + 1), abs=1e-14), k
+    assert np.allclose(propagator._E.sum(axis=1), 0, rtol=0, atol=1e-14)
 
 
-def test_unreachable_tol_names_last_step_and_change():
-    # the fastest LAB_FULL scale at 242 kHz is the drive, so a period starts
-    # at 100 steps; 100 * 2**9 = 51,200 is the last count within the budget
-    spec = HamiltonianSpec(HamiltonianKind.LAB_FULL, resonant(242, 160))
+@pytest.mark.parametrize("solve", ["rf", "stirap"])
+def test_step_budget_overrun_names_the_budget_and_t(solve, monkeypatch):
+    # the 242 kHz drive takes 51 steps over its window and a STIRAP chain
+    # 863, so a budget of 16 steps stops both part way
+    monkeypatch.setattr(propagator, "_STEP_BUDGET", 16)
     with pytest.raises(NumericalError) as info:
-        evolve_state(zeeman_state(2, 2), spec, 0.0, 10e-6, tol=1e-30)
-    message = str(info.value)
-    assert f"step budget of {propagator._STEP_BUDGET} steps per period" in message
-    assert "not converged at 51200 steps per period" in message
-    change = re.search(r"last change (\S+) against tol 1e-30", message)
-    assert change and float(change.group(1)) >= 1e-30
-
-
-def test_budget_below_the_first_count_still_allows_doublings(monkeypatch):
-    # the same drive starts at 100 steps per period, above a budget of 64,
-    # so the budget applied is 100 * 2**_MIN_DOUBLINGS
-    monkeypatch.setattr(propagator, "_STEP_BUDGET", 64)
-    spec = HamiltonianSpec(HamiltonianKind.LAB_FULL, resonant(242, 160))
-    with pytest.raises(NumericalError) as info:
-        evolve_state(zeeman_state(2, 2), spec, 0.0, 10e-6, tol=1e-30)
-    last = 100 * 2**propagator._MIN_DOUBLINGS
-    assert f"step budget of {last} steps per period exhausted" in str(info.value)
-    assert f"not converged at {last} steps per period" in str(info.value)
+        if solve == "rf":
+            spec = HamiltonianSpec(HamiltonianKind.LAB_FULL, resonant(242, 160))
+            evolve_state(zeeman_state(2, 2), spec, 0.0, 10e-6)
+        else:
+            simulate_stirap(StirapParams(TWO_PI * 40e6, 0.55e-6, 0.7e-6, detuning=TWO_PI * 20e6))
+    message = re.fullmatch(r"step budget of 16 steps exhausted at t = (\S+) s", str(info.value))
+    assert message, str(info.value)
+    start = 0.0 if solve == "rf" else -4 * 0.55e-6
+    assert start < float(message.group(1)) < start + 10e-6
 
 
 def test_slow_drive_keeps_the_cone_angle_about_the_field():
-    # 1 kHz RF on an 800 kHz resonance over two drive periods: a period
-    # starts at 80,000 steps, above _STEP_BUDGET.  The field axis turns
+    # 1 kHz RF on an 800 kHz resonance over two drive periods: the one
+    # window takes 17,061 steps, a quarter of _STEP_BUDGET.  The field axis turns
     # adiabatically (turn rate over Larmor frequency ~1.5e-4), so |+2>
     # keeps its cone angle atan(Omega / w0) about the field.  Where the
     # drive passes zero the field is along z, and the populations are those
@@ -208,11 +208,24 @@ def test_one_period_rule_matches_runge_kutta_oracle(kind, t0):
     columns = np.eye(5)[:, weights > 0]
     oracle = rf_populations(frame, cfg.resonance, cfg.omega_rf, cfg.omega_rabi, shifts, columns, times)
     expected = oracle @ weights[weights > 0]
-    got = evolve_populations(Populations(weights), spec, times, tol=1e-10)
+    got = evolve_populations(Populations(weights), spec, times)
     assert np.max(np.abs(got - expected)) < 1e-8
     short = times < t0 + 0.6 * period  # a trace shorter than a period is its own window
-    got = evolve_populations(Populations(weights), spec, times[short], tol=1e-10)
+    got = evolve_populations(Populations(weights), spec, times[short])
     assert np.max(np.abs(got - expected[short])) < 1e-8
+
+
+def test_long_lab_trace_matches_runge_kutta_oracle():
+    # the benchmark's long lab-frame shape: 16 drive periods, 400 distinct
+    # sample phases, each one a step end of the window
+    cfg = FieldConfig(omega0=TWO_PI * 800e3, omega_rf=TWO_PI * 800e3, omega_rabi=TWO_PI * 95.5e3)
+    spec = HamiltonianSpec(HamiltonianKind.LAB_FULL, cfg)
+    times = np.linspace(0.0, 20e-6, 400)
+    oracle = rf_populations(
+        "lab-full", cfg.resonance, cfg.omega_rf, cfg.omega_rabi, None, np.eye(5)[:, :1], times
+    )
+    got = evolve_populations(zeeman_state(2, 2), spec, times)
+    assert np.max(np.abs(got - oracle[:, :, 0])) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -235,30 +248,21 @@ def test_static_frames_match_closed_form_rotation(kind, cfg, rate):
     assert np.max(np.abs(got - closed)) < 1e-12
 
 
-def test_light_shift_trace_keeps_temporaries_bounded(monkeypatch):
-    # the two-level shape converges at 1,500 steps per period; whole-period
-    # (steps, 5, 5) temporaries peak at about 4.7 MB
+def test_light_shift_trace_keeps_temporaries_bounded():
+    # the two-level shape keeps U only at its 120 sample phases and the
+    # window's end; a stored (steps, 5, 5) history would grow with the steps
     spec = HamiltonianSpec(
         HamiltonianKind.LAB_LIGHT_SHIFT,
         resonant(800, 95),
         light_shifts=lightshift_from_scale(TWO_PI * 1e6),
     )
     times = np.linspace(0.0, 12e-6, 120)
-    steps = []
-    propagate = propagator._propagate
-
-    def counting(*args):
-        steps.append(args[-1])
-        return propagate(*args)
-
-    monkeypatch.setattr(propagator, "_propagate", counting)
     tracemalloc.start()
     try:
-        evolve_populations(zeeman_state(2, 2), spec, times, tol=1e-9)
+        evolve_populations(zeeman_state(2, 2), spec, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert steps == [750, 1500]
     assert peak < 2e6
 
 
@@ -290,8 +294,8 @@ def test_rwa_deviation_bounded_by_frequency_ratio(ratio):
     rwa = HamiltonianSpec(HamiltonianKind.ROT_RWA, cfg)
     times = np.linspace(0.0, 2 * TWO_PI / cfg.omega_rabi, 301)  # one population period
     state = zeeman_state(2, 2)
-    p_lab = evolve_populations(state, lab, times, tol=1e-7)
-    p_rwa = evolve_populations(state, rwa, times, tol=1e-9)
+    p_lab = evolve_populations(state, lab, times)
+    p_rwa = evolve_populations(state, rwa, times)
     assert np.max(np.abs(p_lab - p_rwa)) < 1 / ratio
 
 
@@ -300,7 +304,7 @@ def test_mean_spin_quarter_turn_convention():
     cfg = resonant(800, 100)
     spec = HamiltonianSpec(HamiltonianKind.ROT_RWA, cfg)
     t_quarter = (math.pi / 2) / (0.5 * cfg.omega_rabi)
-    psi = evolve_state(zeeman_state(2, 2), spec, 0.0, t_quarter, tol=1e-10).amplitudes
+    psi = evolve_state(zeeman_state(2, 2), spec, 0.0, t_quarter).amplitudes
     mean_spin = [np.vdot(psi, op @ psi).real for op in (SYS2.jx, SYS2.jy, SYS2.jz)]
     assert np.allclose(mean_spin, [0, -2, 0], rtol=0, atol=1e-8)
 
@@ -344,7 +348,7 @@ def test_two_level_reduction_with_light_shifts():
         light_shifts=lightshift_from_scale(TWO_PI * 1e6),
     )
     times = np.linspace(0.0, 20e-6, 401)
-    traces = evolve_populations(zeeman_state(2, 2), spec, times, tol=1e-7)
+    traces = evolve_populations(zeeman_state(2, 2), spec, times)
     leakage = traces[:, 2:].sum(axis=1)
     assert leakage.max() < 0.05
     closed = np.array([two_level_population(t, omega, 1.0, 0.0)[0] for t in times])

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate._ivp import dop853_coefficients
 
 from oracles import chain_trace, ladder_cg_table
-from spinorlab import stirap
 from spinorlab.stirap import (
     PUMP_CG,
     STOKES_CG,
@@ -294,22 +292,7 @@ def test_trace_shapes_and_survival():
     assert pops[0, 0] > 0.999 and pops[-1, 4] > 0.99
 
 
-# ---------------------------------------------------- stepper and its oracle
-
-
-def test_dop853_tableau_is_hairers():
-    ref = dop853_coefficients
-    assert np.array_equal(stirap._A, np.vstack((ref.A[:12, :12], ref.B)))
-    assert np.array_equal(stirap._C, ref.C[:13])
-    # the error weights on the 13th evaluation, f at the step's end, are zero
-    assert ref.E5[12] == ref.E3[12] == 0
-    assert np.array_equal(stirap._E, [ref.E5[:12], ref.E3[:12]])
-    # order conditions: row sums give the nodes, the weights integrate c^k exactly
-    b, c = stirap._A[12], stirap._C[:12]
-    assert np.allclose(stirap._A.sum(axis=1), stirap._C, rtol=0, atol=1e-13)
-    for k in range(8):
-        assert b @ c**k == pytest.approx(1 / (k + 1), abs=1e-14), k
-    assert np.allclose(stirap._E.sum(axis=1), 0, rtol=0, atol=1e-14)
+# -------------------------------------------------------- time-domain oracle
 
 
 # lossy and fractional, two-photon detuned, intuitive order with loss, and the
