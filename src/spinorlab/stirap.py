@@ -39,7 +39,8 @@ one ``np.exp`` and forms h(-iH) for every stage and chain as one
 not per chain, so a chain's local error may reach sqrt(c) times the
 one-chain bound; stacks of 3 to 25 chains measured within 2.7e-10 of
 per-chain solves, and the union window alone moves a chain ~1e-14.  A
-trace's sample times are step ends, so no interpolant is needed.
+trace's sample times inside a step are reached by one shorter step from its
+start, so no interpolant is needed.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from spinorlab.propagator import (
     rotating_frame_state,
 )
 from spinorlab.rotations import rotation_population_curve, two_level_population
-from spinorlab.stirap import StirapParams, simulate_stirap
+from spinorlab.stirap import StirapParams, simulate_stirap, stirap_trace
 
 TWO_PI = 2 * math.pi
 SYS2 = build_spin_system(2)
@@ -158,6 +158,39 @@ def test_step_budget_overrun_names_the_budget_and_t(solve, monkeypatch):
     assert start < float(message.group(1)) < start + 10e-6
 
 
+@pytest.mark.parametrize("solve", ["rf", "stirap"])
+def test_stops_past_the_budget_still_solve(solve, monkeypatch):
+    # 4,096 sample times against a budget of 1,024 steps: a sample inside a
+    # step is a short step from that step's start and costs no step of its own
+    def run():
+        if solve == "rf":
+            spec = HamiltonianSpec(HamiltonianKind.LAB_FULL, resonant(242, 160))
+            return evolve_populations(zeeman_state(2, 2), spec, np.linspace(0.0, 10e-6, 4096))
+        params = StirapParams(TWO_PI * 40e6, 0.55e-6, 0.7e-6, detuning=TWO_PI * 20e6)
+        return stirap_trace(params, 4096)[1]
+
+    unbounded = run()
+    monkeypatch.setattr(propagator, "_STEP_BUDGET", 1024)
+    assert np.array_equal(run(), unbounded)
+
+
+@pytest.mark.parametrize("f_res_khz, f_rabi_khz", [(400, 95), (242, 160), (208, 95)])
+def test_four_hundred_periods_keep_unit_norm(f_res_khz, f_rabi_khz):
+    # U(T)^400 multiplies U(T)'s own drift from unitarity by up to 400, so the
+    # window is stepped again at a tighter rtol; its first three periods
+    # still match the oracle
+    cfg = resonant(f_res_khz, f_rabi_khz)
+    spec = HamiltonianSpec(HamiltonianKind.LAB_FULL, cfg)
+    period = TWO_PI / cfg.omega_rf
+    times = np.linspace(0.0, 400 * period, 1601)
+    got = evolve_populations(Populations([0.7, 0, 0.3, 0, 0]), spec, times)
+    assert np.max(np.abs(got.sum(axis=1) - 1)) < 1e-10
+    early = times[:13]
+    columns = np.eye(5)[:, [0, 2]]
+    oracle = rf_populations("lab-full", cfg.resonance, cfg.omega_rf, cfg.omega_rabi, None, columns, early)
+    assert np.max(np.abs(got[:13] - oracle @ [0.7, 0.3])) < 1e-10
+
+
 def test_slow_drive_keeps_the_cone_angle_about_the_field():
     # 1 kHz RF on an 800 kHz resonance over two drive periods: the one
     # window takes 17,061 steps, a quarter of _STEP_BUDGET.  The field axis turns
@@ -217,7 +250,7 @@ def test_one_period_rule_matches_runge_kutta_oracle(kind, t0):
 
 def test_long_lab_trace_matches_runge_kutta_oracle():
     # the benchmark's long lab-frame shape: 16 drive periods, 400 distinct
-    # sample phases, each one a step end of the window
+    # sample phases, each a short step from the window's step it falls in
     cfg = FieldConfig(omega0=TWO_PI * 800e3, omega_rf=TWO_PI * 800e3, omega_rabi=TWO_PI * 95.5e3)
     spec = HamiltonianSpec(HamiltonianKind.LAB_FULL, cfg)
     times = np.linspace(0.0, 20e-6, 400)
