@@ -40,6 +40,11 @@ normal equations resolve the mean squared residual only to about 1e-16 of
 the mean squared data, so the refinement below and the reported
 ``residual_rms`` use the explicit residual at the solved weights.
 
+A grid's exact solves are screened (``_screened_argmin``): the minimum under
+1^T w = 1 alone, less a round-off slack, bounds the simplex objective from
+below, and points are solved by increasing bound until one exceeds the best
+objective.  The pick is the exhaustive ``np.argmin``, ties to the lowest index.
+
 The nonlinear parameter is located on a grid and refined by Brent's
 golden-section and parabolic search in u = ln(x / x_best) between the
 grid neighbours of the best grid point.  ``converged`` means the bracket
@@ -93,7 +98,8 @@ _GUESS_SPAN = 2.0
 _PHASE_SPREAD_BOUNDS = (1e-3, 1e2)
 _RABI_ANGLE_FLOOR = 1e-2
 _CHUNK_ROWS = 8192  # trial values x samples per feature block
-_TIE_ULPS = 64  # slack in units of eps * bound; 4 sufficed on noiseless traces
+_TIE_ULPS = 64  # slack in units of eps * _objective_scale; 4 sufficed on noiseless traces
+_SCREEN_BATCH = 4  # grid points per exact solve while screening
 _XATOL = 1e-10
 _REFINE_MAX_ITER = 200
 
@@ -141,8 +147,8 @@ class FitResult:
 
 
 class _Profile:
-    """Best simplex weights of a model for batches of trial values of its
-    nonlinear parameter, from sufficient statistics of the trace.
+    """Sufficient statistics of a model's fit for batches of trial values of
+    its nonlinear parameter, and the best simplex weights at one value.
 
     ``phase(x)`` maps trial values x, shape (g,), to the Gaussian phase's
     mean and variance, each broadcastable to (g, n); the basis curves are
@@ -163,30 +169,33 @@ class _Profile:
         self._chunk = max(1, _CHUNK_ROWS // data.n)
         self.n_evals = 0
 
-    def solve(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Weights (g, state) and objective w^T G w - 2 b^T w (g,) at the
-        trial values x (g,); the objective plus the mean squared data is
-        the mean squared residual."""
+    def statistics(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """G (g, state, state) and b (g, state) at the trial values x (g,); w^T
+        G w - 2 b^T w plus the mean squared data is the mean squared residual."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         self.n_evals += x.size
-        dim, scale = len(ZEEMAN_M), self._target.size
-        weights, objective = np.empty((x.size, dim)), np.empty(x.size)
+        dim = len(ZEEMAN_M)
+        gram, b = np.empty((x.size, dim, dim)), np.empty((x.size, dim))
         for start in range(0, x.size, self._chunk):
             part = slice(start, start + self._chunk)
-            f = _features(*self._phase(x[part]))  # (g, harmonic, n)
-            ff = np.einsum("gkt,glt->gkl", f, f).reshape(-1, dim * dim)
-            fy = (f.reshape(-1, f.shape[-1]) @ self._target).reshape(-1, dim * dim)
-            gram = (ff @ self._pairs).reshape(-1, dim, dim) / scale
-            b = fy @ self._coeffs.reshape(dim * dim, dim) / scale
-            weights[part], objective[part] = _simplex_solve(gram, b)
-        return weights, objective
+            gram[part], b[part] = self._sums(_features(*self._phase(x[part])))
+        return gram, b
+
+    def _sums(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G and b from a feature block f (g, harmonic, n)."""
+        dim, scale = len(ZEEMAN_M), self._target.size
+        ff = np.einsum("gkt,glt->gkl", f, f).reshape(-1, dim * dim)
+        fy = (f.reshape(-1, f.shape[-1]) @ self._target).reshape(-1, dim * dim)
+        gram = (ff @ self._pairs).reshape(-1, dim, dim) / scale
+        return gram, fy @ self._coeffs.reshape(dim * dim, dim) / scale
 
     def fit(self, x: float) -> tuple[np.ndarray, float]:
         """Weights at x and the rms of the explicit residual, which keeps
         a clean fit's rms far below the normal equations' round-off."""
-        w = self.solve(x)[0][0]
-        f = _features(*self._phase(np.array([x])))[0]
-        resid = f.T @ (self._coeffs @ w) - self._target
+        self.n_evals += 1
+        f = _features(*self._phase(np.array([x])))
+        w = _simplex_solve(*self._sums(f))[0][0]
+        resid = f[0].T @ (self._coeffs @ w) - self._target
         return w, float(np.sqrt(np.mean(resid**2)))
 
 
@@ -238,37 +247,72 @@ def _kkt_parts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _SUPPORTS, _KKT_BASE, _KKT_GRAM = _kkt_parts()
 
 
-def _simplex_solve(gram: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact minimum of w^T G w - 2 b^T w over the probability simplex for a
-    batch of PSD G (g, 5, 5) and b (g, 5); returns w (g, 5) and the
-    objective (g,).
-
-    For each of the 31 supports S the KKT system 2 G_SS w_S - lambda 1 =
-    2 b_S, 1^T w_S = 1 (w = 0 off S) is solved in one batch.  The problem
-    is convex, so the feasible solution of lowest objective is the minimum;
-    a singular system drops out.  Among the solutions within round-off of
-    the lowest, the one with the fewest states is kept, so that a state
-    which a perfect fit does not need reads exactly 0.
-    """
+def _kkt_solve(gram: np.ndarray, b: np.ndarray, supports: slice) -> tuple[np.ndarray, np.ndarray]:
+    """w (g, support, state) solving 2 G_SS w_S - lambda 1 = 2 b_S, 1^T w_S
+    = 1 (w = 0 off S) for S in ``_SUPPORTS[supports]``, NaN where singular,
+    and the objectives w^T G w - 2 b^T w (g, support)."""
     g, dim = b.shape
-    kkt = np.tile(_KKT_BASE, (g, 1, 1, 1))
-    kkt[..., :dim, :dim] += _KKT_GRAM * gram[:, None]
-    rhs = np.ones((g, _SUPPORTS.shape[0], dim + 1, 1))
-    rhs[..., :dim, 0] = 2 * b[:, None] * _SUPPORTS
+    kkt = np.tile(_KKT_BASE[supports], (g, 1, 1, 1))
+    kkt[..., :dim, :dim] += _KKT_GRAM[supports] * gram[:, None]
+    rhs = np.ones((g, kkt.shape[1], dim + 1, 1))
+    rhs[..., :dim, 0] = 2 * b[:, None] * _SUPPORTS[supports]
     try:
         w = np.linalg.solve(kkt, rhs)[..., :dim, 0]
     except np.linalg.LinAlgError:  # raised if any system is singular
         singular = np.linalg.slogdet(kkt)[0] == 0
         kkt[singular] = np.eye(dim + 1)
         w = np.linalg.solve(kkt, rhs)[..., :dim, 0]
-        w[singular] = np.nan  # fails the feasibility test below
-    objective = np.einsum("gsi,gij,gsj->gs", w, gram, w) - 2 * np.einsum("gsi,gi->gs", w, b)
-    objective[~np.all(w >= 0, axis=-1)] = np.inf
-    # on the simplex |w^T G w| <= max G_ii and |b^T w| <= max |b_i|
-    bound = np.abs(np.diagonal(gram, axis1=1, axis2=2)).max(axis=1) + 2 * np.abs(b).max(axis=1)
-    slack = _TIE_ULPS * np.finfo(float).eps * bound
+        w[singular] = np.nan
+    return w, np.einsum("gsi,gij,gsj->gs", w, gram, w) - 2 * np.einsum("gsi,gi->gs", w, b)
+
+
+def _objective_scale(gram: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max G_ii + 2 max |b_i|, which bounds |w^T G w - 2 b^T w| on the simplex."""
+    return np.abs(np.diagonal(gram, axis1=1, axis2=2)).max(axis=1) + 2 * np.abs(b).max(axis=1)
+
+
+def _simplex_solve(gram: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimum of w^T G w - 2 b^T w over the probability simplex for a
+    batch of PSD G (g, 5, 5) and b (g, 5); returns w (g, 5) and the
+    objective (g,).
+
+    The KKT systems of all 31 supports are solved in one batch.  The
+    problem is convex, so the feasible solution of lowest objective is the
+    minimum; a singular system drops out.  Among the solutions within
+    round-off of the lowest, the one with the fewest states is kept, so that
+    a state which a perfect fit does not need reads exactly 0.
+    """
+    w, objective = _kkt_solve(gram, b, slice(None))
+    objective[~np.all(w >= 0, axis=-1)] = np.inf  # NaN fails too
+    slack = _TIE_ULPS * np.finfo(float).eps * _objective_scale(gram, b)
     pick = np.argmax(objective <= (objective.min(axis=1) + slack)[:, None], axis=1)
-    return w[np.arange(g), pick], objective[np.arange(g), pick]
+    return w[np.arange(len(b)), pick], objective[np.arange(len(b)), pick]
+
+
+def _sum_to_one_bound(gram: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lower bound (g,) on ``_simplex_solve``'s objective: the minimum under
+    1^T w = 1 alone (the full support's system) less ``_TIE_ULPS`` eps
+    ``_objective_scale`` (1 + |w|_1)^2, the round-off of a backward-stable
+    solve, which grows where the system is nearly singular; -inf if singular."""
+    w, objective = (a[:, 0] for a in _kkt_solve(gram, b, slice(-1, None)))
+    reach = 1 + np.abs(w).sum(axis=1)
+    bound = objective - _TIE_ULPS * np.finfo(float).eps * _objective_scale(gram, b) * reach**2
+    bound[~np.isfinite(bound)] = -np.inf
+    return bound
+
+
+def _screened_argmin(gram: np.ndarray, b: np.ndarray) -> int:
+    """``np.argmin`` of the ``_simplex_solve`` objectives, solving only
+    points whose ``_sum_to_one_bound`` is at or below the best so far."""
+    bound = _sum_to_one_bound(gram, b)
+    objective = np.full(bound.size, np.inf)
+    order = np.argsort(bound)
+    for batch in np.split(order, range(_SCREEN_BATCH, order.size, _SCREEN_BATCH)):
+        batch = batch[bound[batch] <= objective.min()]
+        if batch.size == 0:
+            break
+        objective[batch] = _simplex_solve(gram[batch], b[batch])[1]
+    return int(np.argmin(objective))
 
 
 def _log_grid(lo: float, hi: float, per_decade: float = _GRID_PER_DECADE) -> np.ndarray:
@@ -333,7 +377,7 @@ def _varpro_fit(profile: _Profile, grid: np.ndarray, name: str) -> FitResult:
 
     params hold the fitted value under ``name`` and the five weights.
     """
-    i = int(np.argmin(profile.solve(grid)[1]))
+    i = _screened_argmin(*profile.statistics(grid))
     x_best = float(grid[i])
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
     u, converged = _brent(

@@ -285,7 +285,7 @@ def test_profile_statistics_match_explicit_basis():
     ]
     for data, kind, phase, trials in cases:
         profile = fit._Profile(data, kind, lambda x: phase(x[:, None]))
-        weights, _ = profile.solve(trials)
+        weights, _ = fit._simplex_solve(*profile.statistics(trials))
         for x, w in zip(trials, weights):
             w_ref, rms_ref = _explicit_profile(kind, *phase(x), data)
             np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
@@ -359,3 +359,97 @@ def test_refinement_converges_only_within_its_iteration_cap(monkeypatch):
     assert x == pytest.approx(0.0123, abs=fit._XATOL)
     monkeypatch.setattr(fit, "_REFINE_MAX_ITER", 3)
     assert fit._brent(lambda u: (u - 0.0123) ** 2, -0.2, 0.3)[1] is False
+
+
+def _grid_statistics(monkeypatch, fitter, *args):
+    """G and b of the grid that ``fitter(*args)`` searches."""
+    seen = []
+    screened = fit._screened_argmin
+    monkeypatch.setattr(fit, "_screened_argmin", lambda gram, b: seen.append((gram, b)) or screened(gram, b))
+    fitter(*args)
+    return seen[0]
+
+
+def _exhaustive_argmin(gram, b, rows=256) -> int:
+    objective = [fit._simplex_solve(gram[i : i + rows], b[i : i + rows])[1] for i in range(0, len(b), rows)]
+    return int(np.argmin(np.concatenate(objective)))
+
+
+def _screen_cases(monkeypatch):
+    rng = np.random.default_rng(17)
+    for freq, weights in [(95e3, [0.5, 0.3, 0.2, 0, 0]), (100e3, [0.6, 0.1, 0.3, 0, 0])]:
+        # absent states: their supports tie with the true one within round-off
+        data = synthetic_rabi(TWO_PI * freq, weights, n=100, t_max=40e-6)
+        yield _grid_statistics(monkeypatch, fit_rabi, data)
+    for n in (100, 300, 1000):
+        data = synthetic_rabi(TWO_PI * 95e3, [0.5, 0.3, 0.2, 0, 0], n=n, t_max=40e-6, noise=0.01, seed=n)
+        gram, b = _grid_statistics(monkeypatch, fit_rabi, data)
+        yield gram, b
+    # the low-Omega end of the last grid, rotation angles Omega t_max / 2 up to
+    # 0.1 rad: the features are nearly constant, so F^T F is nearly rank 1
+    yield gram[:17], b[:17]
+    ramsey = _add_noise(synthetic_ramsey(4.5), 0.02, rng)
+    yield _grid_statistics(monkeypatch, fit_ramsey, ramsey, RAMSEY_KNOWN)
+    echo = _add_noise(synthetic_echo(13.5, 0.2e-3), 0.02, rng)
+    yield _grid_statistics(monkeypatch, fit_echo, echo, {"t_axial": 0.2e-3})
+    for rank in (1, 2, 3):  # random rank-deficient G: screening needs the bound's slack here
+        x = rng.normal(size=(64, rank, 5))
+        yield np.einsum("gri,grj->gij", x, x), rng.normal(size=(64, 5))
+    # G close to rank 1, and G = 0, where every system of two or more states is singular
+    v = rng.normal(size=5)
+    near = np.outer(v, v) + np.array([1e-15 * x.T @ x for x in rng.normal(size=(16, 5, 5))])
+    yield near, rng.normal(size=(16, 5))
+    yield np.zeros((16, 5, 5)), rng.normal(size=(16, 5))
+
+
+def test_screened_argmin_is_the_exhaustive_argmin(monkeypatch):
+    for gram, b in _screen_cases(monkeypatch):
+        assert fit._screened_argmin(gram, b) == _exhaustive_argmin(gram, b)
+
+
+@pytest.mark.parametrize("rank", [5, 4, 3, 2, 1])
+def test_sum_to_one_bound_is_below_the_simplex_objective(rank):
+    rng = np.random.default_rng(rank)
+    x = rng.normal(size=(500, rank, 5))
+    gram, b = np.einsum("gri,grj->gij", x, x), rng.normal(size=(500, 5))
+    bound, exact = fit._sum_to_one_bound(gram, b), fit._simplex_solve(gram, b)[1]
+    # the bound carries its own round-off slack
+    assert np.all(bound <= exact)
+    if rank == 5:
+        # where the unconstrained minimum lies on the simplex, the two agree
+        w = fit._kkt_solve(gram, b, slice(-1, None))[0][:, 0]
+        inside = np.all(w >= 0, axis=1)
+        assert inside.any()
+        np.testing.assert_allclose(bound[inside], exact[inside], rtol=1e-11, atol=1e-12)
+
+
+def test_sum_to_one_bound_of_a_singular_system_is_unbounded():
+    gram = np.zeros((3, 5, 5))
+    gram[1] = np.diag([1.0, 0, 0, 0, 0])  # four identical KKT rows
+    gram[2, :2, :2] = 1.0  # w = (1, -1, 0, 0, 0) is in the kernel and the plane 1^T w = 0
+    bound = fit._sum_to_one_bound(gram, np.ones((3, 5)))
+    assert np.all(bound == -np.inf)
+
+
+def test_noisy_rabi_fit_solves_few_grid_points_exactly(monkeypatch):
+    data = synthetic_rabi(TWO_PI * 95e3, [0.5, 0.3, 0.2, 0, 0], n=1000, t_max=40e-6, noise=0.01, seed=5)
+    rows, refining = [], []
+    simplex, refine = fit._simplex_solve, fit._Profile.fit
+
+    def counted(gram, b):
+        if not refining:
+            rows.append(b.shape[0])
+        return simplex(gram, b)
+
+    def brent_step(self, x):
+        refining.append(x)
+        try:
+            return refine(self, x)
+        finally:
+            refining.pop()
+
+    monkeypatch.setattr(fit, "_simplex_solve", counted)
+    monkeypatch.setattr(fit._Profile, "fit", brent_step)
+    result = fit_rabi(data)
+    assert sum(rows) <= 8  # of 2,077 grid points
+    assert result.n_evals == 2089  # every grid point's statistics and 12 refinement steps
