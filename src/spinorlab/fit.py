@@ -27,9 +27,12 @@ the Jx eigenvectors), with variance 0; the carrier with variance B1^2 var_1
 for Ramsey; 0 with variance c tau^4 for echo.  Its harmonics f_k
 (``_basis_coefficients``) are real up to round-off, so the curve of state i
 in channel m is sum_k F_k(t) f_k[m, i] with the real features F_k =
-2' cos(k a) e^{-k^2 var / 2} (``_features``; 2' is 2 for k >= 1, 1 for k =
-0).  The Rabi series agrees with the closed forms of ``rabi_model_curve``
-within 1e-12 for theta up to 8000 rad.
+2' cos(k a) e^{-k^2 var / 2} (2' is 2 for k >= 1, 1 for k = 0).  The Rabi
+series agrees with the closed forms of ``rabi_model_curve`` within 1e-12
+for theta up to 8000 rad.  A profile builds per trial value only what
+depends on it: the Rabi carrier harmonics 2' cos(k a) (``_harmonics``), or
+the damping of the Ramsey and echo carrier harmonics, which are built once
+per fit (``_damped``).
 
 A fit reads the trace through sufficient statistics only: the Gram matrix G
 and the vector b of the (5n, 5) basis follow from the 5 x 5 sums F^T F and
@@ -44,6 +47,29 @@ A grid's exact solves are screened (``_screened_argmin``): the minimum under
 1^T w = 1 alone, less a round-off slack, bounds the simplex objective from
 below, and points are solved by increasing bound until one exceeds the best
 objective.  The pick is the exhaustive ``np.argmin``, ties to the lowest index.
+
+The Rabi grid's uniform part (about 2n points) takes its G and b from
+lattice sums (``_rabi_lattice``), not from features.  The features are
+undamped, so by 2 cos a 2 cos b = 2 cos(a + b) + 2 cos(a - b) the sums F^T F
+and F^T Y need only S_q = sum_j v_j cos(q Omega t_j / 2) for q = 0..8 over
+the columns v = 1, y_0 .. y_4 (F^T Y only q <= 4).  On the lattice
+Omega_g = lo + g step, t_j = t_0 + j dt, the exponent's g j term makes S_q
+for all g one Bluestein chirp-z transform by numpy.fft
+(``_chirp_cos_sums``), O((n + G) log(n + G)) per harmonic where features
+cost O(n G); the log part of the grid keeps the direct statistics.
+Measured times sit off the lattice (9 significant digits of microseconds
+put them up to 5e-14 s off), so each transformed point carries a margin:
+q Omega / 2 sum_j |v_j| |t_j - t_lattice|, the same for the grid values'
+distance from their lattice, and the round-off of both the transform and
+the direct features, passed through the contractions in absolute value.
+It bounds the difference of the objective from the exact one on the
+simplex.  The screen orders points by their bound less the margin, and
+once a transformed point is in reach, every transformed point within reach
+of the best exact objective gets its exact statistics, so the pick is
+still the exhaustive argmin of the exact objectives, and the refinement,
+the fitted values and ``n_evals`` (which counts each grid point once) are
+unchanged.  The Ramsey and echo grids (81 points each) have no lattice
+sums: their features are damped.
 
 The nonlinear parameter is located on a grid and refined by Brent's
 golden-section and parabolic search in u = ln(x / x_best) between the
@@ -100,6 +126,7 @@ _RABI_ANGLE_FLOOR = 1e-2
 _CHUNK_ROWS = 8192  # trial values x samples per feature block
 _TIE_ULPS = 64  # slack in units of eps * _objective_scale; 4 sufficed on noiseless traces
 _SCREEN_BATCH = 4  # grid points per exact solve while screening
+_ROUND_ULPS = 16  # round-off of a lattice sum or a direct one, in eps per phase and per term
 _XATOL = 1e-10
 _REFINE_MAX_ITER = 200
 
@@ -150,14 +177,15 @@ class _Profile:
     """Sufficient statistics of a model's fit for batches of trial values of
     its nonlinear parameter, and the best simplex weights at one value.
 
-    ``phase(x)`` maps trial values x, shape (g,), to the Gaussian phase's
-    mean and variance, each broadcastable to (g, n); the basis curves are
-    the damped carriers of ``_features`` contracted with the real
-    harmonics of ``_basis_coefficients(kind)``.
+    ``features(x)`` maps trial values x, shape (g,), to the damped carriers
+    2' cos(k a) e^{-k^2 var / 2}, shape (g, harmonic, n), which contract
+    with the real harmonics of ``_basis_coefficients(kind)`` to the basis
+    curves.  ``n_evals`` counts the grid points and refinement steps of a
+    fit (``_varpro_fit``).
     """
 
-    def __init__(self, data: TimeSeries, kind: SequenceKind | None, phase):
-        self._phase = phase
+    def __init__(self, data: TimeSeries, kind: SequenceKind | None, features):
+        self._features = features
         dim = len(ZEEMAN_M)
         # (harmonic, channel, initial state); the imaginary parts are round-off
         self._coeffs = _basis_coefficients(kind).real.reshape(dim, dim, dim)
@@ -173,19 +201,23 @@ class _Profile:
         """G (g, state, state) and b (g, state) at the trial values x (g,); w^T
         G w - 2 b^T w plus the mean squared data is the mean squared residual."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        self.n_evals += x.size
         dim = len(ZEEMAN_M)
         gram, b = np.empty((x.size, dim, dim)), np.empty((x.size, dim))
         for start in range(0, x.size, self._chunk):
             part = slice(start, start + self._chunk)
-            gram[part], b[part] = self._sums(_features(*self._phase(x[part])))
+            gram[part], b[part] = self._sums(self._features(x[part]))
         return gram, b
 
     def _sums(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G and b from a feature block f (g, harmonic, n)."""
-        dim, scale = len(ZEEMAN_M), self._target.size
+        dim = len(ZEEMAN_M)
         ff = np.einsum("gkt,glt->gkl", f, f).reshape(-1, dim * dim)
         fy = (f.reshape(-1, f.shape[-1]) @ self._target).reshape(-1, dim * dim)
+        return self._contract(ff, fy)
+
+    def _contract(self, ff: np.ndarray, fy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G and b from the sums F^T F (g, (k, l)) and F^T Y (g, (k, channel))."""
+        dim, scale = len(ZEEMAN_M), self._target.size
         gram = (ff @ self._pairs).reshape(-1, dim, dim) / scale
         return gram, fy @ self._coeffs.reshape(dim * dim, dim) / scale
 
@@ -193,37 +225,148 @@ class _Profile:
         """Weights at x and the rms of the explicit residual, which keeps
         a clean fit's rms far below the normal equations' round-off."""
         self.n_evals += 1
-        f = _features(*self._phase(np.array([x])))
+        f = self._features(np.array([x]))
         w = _simplex_solve(*self._sums(f))[0][0]
         resid = f[0].T @ (self._coeffs @ w) - self._target
         return w, float(np.sqrt(np.mean(resid**2)))
 
 
-def _features(a, var) -> np.ndarray:
-    """Damped carriers 2' cos(k a) e^{-k^2 var / 2}, k = 0..4 (2' is 2 for
-    k >= 1 and 1 for k = 0), for a and var broadcastable to (g, n); shape
-    (g, harmonic, n).  One cos and one exp: 2 cos(k a) by the Chebyshev
-    recurrence, and e^{-k^2 var / 2} as products of the odd powers of
-    e^{-var / 2}."""
-    g, n = np.broadcast_shapes(np.shape(a), np.shape(var))
-    out = np.empty((g, len(ZEEMAN_M), n))
-    out[:, 0] = 1.0
+def _harmonics(a) -> np.ndarray:
+    """Carrier harmonics 2' cos(k a), k = 0..4 (2' is 2 for k >= 1 and 1 for
+    k = 0), for a of shape (..., n); shape (..., harmonic, n).  One cos:
+    2 cos(k a) by the Chebyshev recurrence."""
     two_cos = 2 * np.cos(a)
+    out = np.empty(two_cos.shape[:-1] + (len(ZEEMAN_M),) + two_cos.shape[-1:])
+    out[..., 0, :] = 1.0
     prev, cur = 2.0, two_cos  # 2 cos((k - 1) a) and 2 cos(k a)
-    out[:, 1] = cur
+    out[..., 1, :] = cur
     for k in range(2, len(ZEEMAN_M)):
         prev, cur = cur, two_cos * cur - prev
-        out[:, k] = cur
-    if np.any(var):
-        d = np.exp(-0.5 * np.asarray(var))
-        d2 = d * d
-        odd = damp = d  # d^(2k - 1) and d^(k^2)
-        out[:, 1] *= d
-        for k in range(2, len(ZEEMAN_M)):
-            odd = odd * d2
-            damp = damp * odd
-            out[:, k] *= damp
+        out[..., k, :] = cur
     return out
+
+
+def _damped(harmonics: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Carrier harmonics (harmonic, n) damped by e^{-k^2 var / 2} for var (g,
+    n); shape (g, harmonic, n).  One exp: the damping factors are products
+    of the odd powers of e^{-var / 2}."""
+    d = np.exp(-0.5 * var)
+    d2 = d * d
+    out = np.empty(d.shape[:1] + harmonics.shape)
+    out[:, 0] = harmonics[0]
+    np.multiply(harmonics[1], d, out=out[:, 1])
+    odd, damp = d.copy(), d  # d^(2k - 1) and d^(k^2), updated in place
+    for k in range(2, len(ZEEMAN_M)):
+        odd *= d2
+        damp *= odd
+        np.multiply(harmonics[k], damp, out=out[:, k])
+    return out
+
+
+def _product_map() -> np.ndarray:
+    """M (harmonic pair (k, l), q) with sum_j 2' cos(k a_j) 2' cos(l a_j) =
+    sum_q M[(k, l), q] sum_j cos(q a_j), q = 0..8, from 2 cos a 2 cos b =
+    2 cos(a + b) + 2 cos(a - b)."""
+    dim = len(ZEEMAN_M)
+    out = np.zeros((dim, dim, 2 * dim - 1))
+    for k, l in itertools.product(range(dim), repeat=2):
+        out[k, l, k + l] += 0.5 * _TWO_PRIME[k] * _TWO_PRIME[l]
+        out[k, l, abs(k - l)] += 0.5 * _TWO_PRIME[k] * _TWO_PRIME[l]
+    return out.reshape(dim * dim, -1)
+
+
+_TWO_PRIME = np.array([1.0, 2.0, 2.0, 2.0, 2.0])  # 2' of harmonics k = 0..4
+_PRODUCTS = _product_map()
+
+
+def _chirp_cos_sums(v: np.ndarray, t0: float, dt: float, lo: float, step: float, size: int, q: int):
+    """sum_j v[c, j] cos(q (lo + g step) (t0 + j dt) / 2) for g < size, shape
+    (size, column), by one Bluestein chirp-z transform (Rabiner, Schafer &
+    Rader, Bell Syst. Tech. J. 48, 1249 (1969)) with g j = (g^2 + j^2 - (g -
+    j)^2) / 2, and a bound (column,) on its round-off.
+
+    Each phase is formed with a relative error of a few eps, so a term's
+    error is a few eps times the largest phase; the power-of-two FFTs add
+    O(eps log2 L) of the spectra's norms (Higham, Accuracy and Stability of
+    Numerical Algorithms (2002), sec. 24.1)."""
+    n = v.shape[1]
+    half = 0.5 * q
+    phi = half * step * dt
+    j, g = np.arange(n), np.arange(size)
+    pre = half * lo * dt * j + 0.5 * phi * j**2
+    post = half * t0 * (lo + g * step) + 0.5 * phi * g**2
+    chirp = -0.5 * phi * np.arange(max(n, size)) ** 2
+    span = n + size - 1
+    length = 1 << (span - 1).bit_length()
+    kernel = np.zeros(length, dtype=complex)  # exp(-i phi m^2 / 2) for m = 1 - n .. size - 1
+    kernel[:size] = np.exp(1j * chirp[:size])
+    kernel[length - n + 1 :] = np.exp(1j * chirp[n - 1 : 0 : -1])
+    spectrum = np.fft.fft(v * np.exp(1j * pre), length)
+    spectrum *= np.fft.fft(kernel)
+    sums = (np.fft.ifft(spectrum, out=spectrum)[:, :size] * np.exp(1j * post)).real.T
+    reach = np.abs(pre).max() + np.abs(post).max() + np.abs(chirp).max()
+    l1, l2 = np.abs(v).sum(axis=1), np.sqrt((v * v).sum(axis=1))
+    fft = math.log2(length) * (span * l2 + math.sqrt(span) * l1)
+    return sums, _ROUND_ULPS * np.finfo(float).eps * (reach * l1 + fft)
+
+
+def _rabi_lattice(profile: _Profile, data: TimeSeries, omega: np.ndarray, step: float):
+    """Estimates of the Rabi G (g, 5, 5) and b (g, 5) at the uniform grid
+    omega = omega[0] + g step (up to round-off) from lattice sums, and
+    margins (g,) that bound |w^T G w - 2 b^T w| of their difference from
+    the exact statistics for w on the simplex.
+
+    The sums run on the lattice t0 + j dt, omega[0] + g step.  A sum of
+    v_j cos(q Omega t_j / 2) moves by at most q Omega / 2 |v_j| |t_j -
+    t_lattice| and q |t_j| / 2 |v_j| |Omega - Omega_lattice| per sample; the
+    round-off of the transform and of the direct features (a few eps times
+    the largest phase, and n eps for the sums) adds to it, so each bound is
+    affine in (Omega, |Omega - Omega_lattice|, 1).  The bounds pass through
+    ``_PRODUCTS``, ``_pairs`` and ``_coeffs`` in absolute value, with the
+    round-off of the 25-term contractions.  G is raised by e I, with e (the
+    largest row sum of the bound on G) at least the spectral norm of its
+    error, so that the estimate stays above the exact, positive
+    semidefinite G and ``_sum_to_one_bound`` stays a lower bound; the
+    margin is 2 (e + max_i bound on b_i).
+    """
+    t, y = data.times, data.populations
+    n, size, dim = t.size, omega.size, len(ZEEMAN_M)
+    eps = np.finfo(float).eps
+    t0, dt = float(t[0]), float(t[-1] - t[0]) / (n - 1)
+    j = np.arange(n)
+    dev_t = np.abs(t - (t0 + j * dt)) + 2 * eps * (abs(t0) + j * dt)
+    lattice_omega = omega[0] + np.arange(size) * step
+    dev_omega = np.abs(omega - lattice_omega) + 2 * eps * lattice_omega
+    v = np.vstack([np.ones(n), y.T])  # columns 1, y_0 .. y_4
+    mass = np.abs(v)
+    # F^T F from the sums of cos(q a) over column 1 (q = 0..8), F^T Y from the others (q <= 4)
+    ff, fy = np.tile(v[0].sum() * _PRODUCTS[:, 0], (size, 1)), np.empty((size, dim, dim))
+    fy[:, 0] = v[1:].sum(axis=1)
+    # the coefficients (q, 3, column) of each sum's err on (Omega, its lattice distance, 1)
+    err = np.zeros((2 * dim - 1, 3, v.shape[0]))
+    drift = np.column_stack([dev_t, np.abs(t) + dev_t])
+    for q in range(1, 2 * dim - 1):
+        c = v.shape[0] if q < dim else 1
+        sums, err[q, 2, :c] = _chirp_cos_sums(v[:c], t0, dt, omega[0], step, size, q)
+        err[q, :2, :c] = 0.5 * q * (mass[:c] @ drift).T
+        ff += sums[:, :1] * _PRODUCTS[:, q]
+        if q < dim:
+            fy[:, q] = _TWO_PRIME[q] * sums[:, 1:]
+    gram, b = profile._contract(ff, fy.reshape(size, dim * dim))
+    # the direct features' round-off: a few eps times the largest phase per term, n eps per sum
+    phase = 0.5 * np.arange(2 * dim - 1) * omega[-1] * np.abs(t).max()
+    err[:, 2] += _ROUND_ULPS * eps * (phase + 2 * n)[:, None] * mass.sum(axis=1)
+    err_ff = err[:, :, 0].T @ _PRODUCTS.T
+    err_fy = (_TWO_PRIME[:, None, None] * err[:dim, :, 1:]).transpose(1, 0, 2).reshape(3, -1)
+    # both paths round the contractions, whose terms are at most 2' 2' n and 2' sum |y|
+    err_ff[2] += 2 * dim**2 * eps * n * np.outer(_TWO_PRIME, _TWO_PRIME).ravel()
+    err_fy[2] += 2 * dim**2 * eps * np.outer(_TWO_PRIME, mass[1:].sum(axis=1)).ravel()
+    basis = np.column_stack([omega, dev_omega, np.ones(size)]) / y.size
+    err_gram = basis @ (err_ff @ np.abs(profile._pairs))
+    err_b = basis @ (err_fy @ np.abs(profile._coeffs.reshape(dim * dim, dim)))
+    lift = err_gram.reshape(-1, dim, dim).sum(axis=2).max(axis=1)
+    gram[:, range(dim), range(dim)] += lift[:, None]
+    return gram, b, 2 * (lift + err_b.max(axis=1))
 
 
 def _kkt_parts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -301,17 +444,35 @@ def _sum_to_one_bound(gram: np.ndarray, b: np.ndarray) -> np.ndarray:
     return bound
 
 
-def _screened_argmin(gram: np.ndarray, b: np.ndarray) -> int:
-    """``np.argmin`` of the ``_simplex_solve`` objectives, solving only
-    points whose ``_sum_to_one_bound`` is at or below the best so far."""
-    bound = _sum_to_one_bound(gram, b)
+def _screened_argmin(gram: np.ndarray, b: np.ndarray, margin=0.0, exact=None) -> int:
+    """``np.argmin`` of the ``_simplex_solve`` objectives of the exact G and
+    b, solving only points whose ``_sum_to_one_bound`` is at or below the
+    best so far.
+
+    Where ``margin`` > 0, gram and b are estimates whose objective is within
+    margin of the exact one on the simplex, so their bound less margin
+    bounds the exact objective.  Points are taken in order of that widened
+    bound.  Once one in reach is estimated, every estimated point in reach
+    of the best so far (all of the first batch's while there is none) gets
+    its exact G and b from ``exact(indices)``, written over the estimates,
+    and its exact bound.
+    """
+    widened = _sum_to_one_bound(gram, b) - margin
+    bound, estimated = widened.copy(), np.broadcast_to(np.asarray(margin) > 0, widened.shape).copy()
     objective = np.full(bound.size, np.inf)
-    order = np.argsort(bound)
-    for batch in np.split(order, range(_SCREEN_BATCH, order.size, _SCREEN_BATCH)):
-        batch = batch[bound[batch] <= objective.min()]
-        if batch.size == 0:
+    order = np.argsort(widened)
+    for start in range(0, order.size, _SCREEN_BATCH):
+        batch, best = order[start : start + _SCREEN_BATCH], objective.min()
+        if widened[batch[0]] > best:
             break
-        objective[batch] = _simplex_solve(gram[batch], b[batch])[1]
+        if estimated[batch].any():
+            reach = estimated & (widened <= best)
+            fetch = batch[estimated[batch]] if best == np.inf else np.flatnonzero(reach)
+            gram[fetch], b[fetch] = exact(fetch)
+            bound[fetch], estimated[fetch] = _sum_to_one_bound(gram[fetch], b[fetch]), False
+        batch = batch[bound[batch] <= best]
+        if batch.size:
+            objective[batch] = _simplex_solve(gram[batch], b[batch])[1]
     return int(np.argmin(objective))
 
 
@@ -370,14 +531,16 @@ def _brent(f, lo: float, hi: float) -> tuple[float, bool]:
     return x, False
 
 
-def _varpro_fit(profile: _Profile, grid: np.ndarray, name: str) -> FitResult:
-    """Grid search over the increasing positive values ``grid``, then
-    Brent's search in u = ln(x / x_best) between the best point's
-    neighbours, where ``_XATOL`` on u is a relative tolerance on x.
+def _varpro_fit(profile: _Profile, grid: np.ndarray, name: str, gram, b, margin=0.0) -> FitResult:
+    """Grid search over the increasing positive values ``grid``, whose G, b
+    and margins (``_screened_argmin``) are given, then Brent's search in u
+    = ln(x / x_best) between the best point's neighbours, where ``_XATOL``
+    on u is a relative tolerance on x.
 
     params hold the fitted value under ``name`` and the five weights.
     """
-    i = _screened_argmin(*profile.statistics(grid))
+    profile.n_evals += grid.size
+    i = _screened_argmin(gram, b, margin, lambda rows: profile.statistics(grid[rows]))
     x_best = float(grid[i])
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
     u, converged = _brent(
@@ -459,10 +622,16 @@ def fit_rabi(data: TimeSeries, omega_guess: float | None = None) -> FitResult:
     dt = float(data.times[-1] - data.times[0]) / (data.n - 1)
     lo, hi = _grid_bounds(2 * _RABI_ANGLE_FLOOR / t_ref, math.pi / (2 * dt), omega_guess)
     # the uniform part moves the 2 Omega harmonic by pi/2 at t_ref per step
-    grid = np.union1d(_log_grid(lo, hi), np.arange(lo, hi, math.pi / (4 * t_ref)))
-
-    profile = _Profile(data, None, lambda omega: (0.5 * omega[:, None] * data.times, 0.0))
-    return _varpro_fit(profile, grid, "omega")
+    step = math.pi / (4 * t_ref)
+    uniform = np.arange(lo, hi, step)
+    grid = np.union1d(_log_grid(lo, hi), uniform)
+    profile = _Profile(data, None, lambda omega: _harmonics(0.5 * omega[:, None] * data.times))
+    on_lattice = np.isin(grid, uniform)
+    dim = len(ZEEMAN_M)
+    gram, b, margin = np.empty((grid.size, dim, dim)), np.empty((grid.size, dim)), np.zeros(grid.size)
+    gram[~on_lattice], b[~on_lattice] = profile.statistics(grid[~on_lattice])
+    gram[on_lattice], b[on_lattice], margin[on_lattice] = _rabi_lattice(profile, data, uniform, step)
+    return _varpro_fit(profile, grid, "omega", gram, b, margin)
 
 
 @lru_cache(maxsize=None)
@@ -529,8 +698,10 @@ def fit_ramsey(data: TimeSeries, known: dict) -> FitResult:
     if not spread_unit > 0:
         raise ValueError("data: the last delay must be positive to resolve B1")
     lo, hi = (s / spread_unit for s in _PHASE_SPREAD_BOUNDS)
-    profile = _Profile(data, SequenceKind.RAMSEY, lambda b1: (carrier, b1[:, None] ** 2 * var_unit))
-    return _varpro_fit(profile, _log_grid(lo, hi), "b1")
+    harmonics = _harmonics(carrier)
+    profile = _Profile(data, SequenceKind.RAMSEY, lambda b1: _damped(harmonics, b1[:, None] ** 2 * var_unit))
+    grid = _log_grid(lo, hi)
+    return _varpro_fit(profile, grid, "b1", *profile.statistics(grid))
 
 
 def fit_echo(data: TimeSeries, known: dict) -> FitResult:
@@ -555,9 +726,11 @@ def fit_echo(data: TimeSeries, known: dict) -> FitResult:
     t_last = float(t[-1])  # > 0: at least two increasing delays, none negative
     # phase spread sqrt(c) tau^2 at the last delay
     lo, hi = (s**2 / t_last**4 for s in _PHASE_SPREAD_BOUNDS)
-    profile = _Profile(data, SequenceKind.ECHO, lambda c: (0.0, c[:, None] * t**4))
+    harmonics, t4 = _harmonics(np.zeros_like(t)), t**4  # the carrier cancels
+    profile = _Profile(data, SequenceKind.ECHO, lambda c: _damped(harmonics, c[:, None] * t4))
     # c scales as the phase spread squared
-    result = _varpro_fit(profile, _log_grid(lo, hi, _GRID_PER_DECADE / 2), "compound")
+    grid = _log_grid(lo, hi, _GRID_PER_DECADE / 2)
+    result = _varpro_fit(profile, grid, "compound", *profile.statistics(grid))
     compound = result.params["compound"]
     if "t_axial" in known:
         k_t = CONSTANTS.k_b * float(known["t_axial"])

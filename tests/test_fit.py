@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinorlab import fit
+from spinorlab import cli, fit
 from spinorlab.core import CONSTANTS, ZEEMAN_M, build_spin_system
 from spinorlab.ensemble import EnsembleSpec, SequenceKind, ensemble_average_curve
 from spinorlab.fit import (
@@ -278,13 +278,32 @@ def test_profile_statistics_match_explicit_basis():
     carrier, var_unit = fit._carrier_and_variance(
         field, spec, SequenceKind.RAMSEY, ramsey.times, np.zeros_like(ramsey.times)
     )
+    ramsey_harmonics, echo_harmonics = fit._harmonics(carrier), fit._harmonics(0 * echo.times)
     cases = [
-        (rabi, None, lambda x: (0.5 * x * rabi.times, 0.0), TWO_PI * np.array([10e3, 94e3, 95e3, 3e6])),
-        (ramsey, SequenceKind.RAMSEY, lambda x: (carrier, x**2 * var_unit), np.array([1e-6, 4.5e-4, 2e-3])),
-        (echo, SequenceKind.ECHO, lambda x: (0.0, x * echo.times**4), np.array([1e13, 2.7e15, 1e17])),
+        (
+            rabi,
+            None,
+            lambda x: (0.5 * x * rabi.times, 0.0),
+            lambda x: fit._harmonics(0.5 * x[:, None] * rabi.times),
+            TWO_PI * np.array([10e3, 94e3, 95e3, 3e6]),
+        ),
+        (
+            ramsey,
+            SequenceKind.RAMSEY,
+            lambda x: (carrier, x**2 * var_unit),
+            lambda x: fit._damped(ramsey_harmonics, x[:, None] ** 2 * var_unit),
+            np.array([1e-6, 4.5e-4, 2e-3]),
+        ),
+        (
+            echo,
+            SequenceKind.ECHO,
+            lambda x: (0.0, x * echo.times**4),
+            lambda x: fit._damped(echo_harmonics, x[:, None] * echo.times**4),
+            np.array([1e13, 2.7e15, 1e17]),
+        ),
     ]
-    for data, kind, phase, trials in cases:
-        profile = fit._Profile(data, kind, lambda x: phase(x[:, None]))
+    for data, kind, phase, features, trials in cases:
+        profile = fit._Profile(data, kind, features)
         weights, _ = fit._simplex_solve(*profile.statistics(trials))
         for x, w in zip(trials, weights):
             w_ref, rms_ref = _explicit_profile(kind, *phase(x), data)
@@ -362,10 +381,14 @@ def test_refinement_converges_only_within_its_iteration_cap(monkeypatch):
 
 
 def _grid_statistics(monkeypatch, fitter, *args):
-    """G and b of the grid that ``fitter(*args)`` searches."""
+    """Exact G and b of the grid that ``fitter(*args)`` searches."""
     seen = []
-    screened = fit._screened_argmin
-    monkeypatch.setattr(fit, "_screened_argmin", lambda gram, b: seen.append((gram, b)) or screened(gram, b))
+    varpro = fit._varpro_fit
+    monkeypatch.setattr(
+        fit,
+        "_varpro_fit",
+        lambda profile, grid, *rest: seen.append(profile.statistics(grid)) or varpro(profile, grid, *rest),
+    )
     fitter(*args)
     return seen[0]
 
@@ -453,3 +476,122 @@ def test_noisy_rabi_fit_solves_few_grid_points_exactly(monkeypatch):
     result = fit_rabi(data)
     assert sum(rows) <= 8  # of 2,077 grid points
     assert result.n_evals == 2089  # every grid point's statistics and 12 refinement steps
+
+
+def _lattice_screen(monkeypatch, data: TimeSeries, **kwargs) -> dict:
+    """What ``fit_rabi(data)`` hands its grid search: the grid, the estimated
+    G and b with their margins, the exact statistics, and its pick."""
+    seen = {}
+    varpro, screened = fit._varpro_fit, fit._screened_argmin
+
+    def capture(profile, grid, name, gram, b, margin=0.0):
+        seen.update(grid=grid, gram=gram.copy(), b=b.copy(), exact=profile.statistics(grid))
+        seen["margin"] = np.broadcast_to(margin, grid.shape).copy()
+        return varpro(profile, grid, name, gram, b, margin)
+
+    def pick(*args):
+        seen["pick"] = screened(*args)
+        return seen["pick"]
+
+    monkeypatch.setattr(fit, "_varpro_fit", capture)
+    monkeypatch.setattr(fit, "_screened_argmin", pick)
+    fit_rabi(data, **kwargs)
+    monkeypatch.undo()
+    return seen
+
+
+def _benchmark_text_trace(tmp_path, n=1000) -> TimeSeries:
+    """A noisy three-state trace whose times (us) and populations pass
+    through 9 significant digits of text, as the benchmark writes its fit
+    inputs, read back by the CLI's loader."""
+    clean = synthetic_rabi(TWO_PI * 96.3e3, [0.45, 0.35, 0.2, 0, 0], n=n, t_max=40e-6)
+    rng = np.random.default_rng(23)
+    noise = rng.normal(0, 0.01, clean.populations.shape)
+    pops = clean.populations + noise - noise.mean(axis=1, keepdims=True)
+    lines = ["t_us,p_p2,p_p1,p_0,p_m1,p_m2"]
+    lines += [",".join(f"{v:.9g}" for v in (t, *row)) for t, row in zip(clean.times * 1e6, pops)]
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return cli._load_timeseries("data", str(path))
+
+
+def _lattice_cases(monkeypatch, tmp_path):
+    for freq, weights in [(95e3, [0.5, 0.3, 0.2, 0, 0]), (100e3, [0.6, 0.1, 0.3, 0, 0])]:
+        data = synthetic_rabi(TWO_PI * freq, weights, n=100, t_max=40e-6)
+        yield "noiseless", _lattice_screen(monkeypatch, data)
+    for n in (100, 300, 1000):
+        data = synthetic_rabi(TWO_PI * 95e3, [0.5, 0.3, 0.2, 0, 0], n=n, t_max=40e-6, noise=0.01, seed=n)
+        yield f"noisy {n}", _lattice_screen(monkeypatch, data)
+    yield "text", _lattice_screen(monkeypatch, _benchmark_text_trace(tmp_path))
+    data = synthetic_rabi(TWO_PI * 95e3, [0.5, 0.3, 0.2, 0, 0], n=100, t_max=40e-6, noise=0.01, seed=7)
+    late = TimeSeries(times=data.times + 1e-3, populations=data.populations)
+    yield "t0 = 1 ms", _lattice_screen(monkeypatch, late)
+    data = synthetic_rabi(TWO_PI * 95e3, [0.5, 0.3, 0.2, 0, 0], n=300, t_max=40e-6, noise=0.01, seed=9)
+    dt = data.times[1] - data.times[0]
+    jitter = np.random.default_rng(9).uniform(-1e-3, 1e-3, data.n) * dt
+    yield "jittered", _lattice_screen(monkeypatch, TimeSeries(data.times + jitter, data.populations))
+    data = synthetic_rabi(TWO_PI * 95e3, [0.5, 0.3, 0.2, 0, 0], n=1000, t_max=40e-6, noise=0.01, seed=11)
+    yield "guess", _lattice_screen(monkeypatch, data, omega_guess=TWO_PI * 80e3)
+
+
+def test_lattice_screen_picks_the_exhaustive_argmin(monkeypatch, tmp_path):
+    for label, seen in _lattice_cases(monkeypatch, tmp_path):
+        assert np.count_nonzero(seen["margin"]) > seen["grid"].size / 2, label
+        assert seen["pick"] == _exhaustive_argmin(*seen["exact"]), label
+
+
+def test_lattice_margin_bounds_the_objective_error(monkeypatch, tmp_path):
+    w = np.random.default_rng(29).dirichlet(np.ones(len(ZEEMAN_M)), size=100)
+    for label, seen in _lattice_cases(monkeypatch, tmp_path):
+        estimated = seen["margin"] > 0
+        (gram, b), (exact_gram, exact_b) = (
+            (g[estimated], v[estimated]) for g, v in ((seen["gram"], seen["b"]), seen["exact"])
+        )
+
+        def objective(g, v):
+            return np.einsum("wi,gij,wj->gw", w, g, w) - 2 * np.einsum("gi,wi->gw", v, w)
+
+        error = np.abs(objective(gram, b) - objective(exact_gram, exact_b)).max(axis=1)
+        assert np.all(error <= seen["margin"][estimated]), label
+
+
+@pytest.mark.parametrize("t0", [0.0, 3e-6])
+def test_lattice_sums_match_direct_sums_on_uniform_times(t0):
+    n, size, step = 1000, 2000, math.pi / (4 * 40e-6)
+    dt, lo = 40e-6 / (n - 1), 500.0
+    t = t0 + np.arange(n) * dt
+    omega = lo + np.arange(size) * step
+    rng = np.random.default_rng(31)
+    v = np.vstack([np.ones(n), rng.uniform(0, 1, (5, n))])
+    for q in range(1, 9):
+        sums, roundoff = fit._chirp_cos_sums(v, t0, dt, lo, step, size, q)
+        direct = np.cos(0.5 * q * omega[:, None] * t) @ v.T
+        mass = np.abs(v).sum(axis=1)
+        assert np.all(np.abs(sums - direct) <= 1e-12 * mass), q
+        assert np.all(roundoff <= 1e-9 * mass), q
+
+
+def test_large_rabi_fit_builds_few_direct_features(monkeypatch):
+    data = synthetic_rabi(TWO_PI * 95e3, [0.5, 0.3, 0.2, 0, 0], n=10_000, t_max=40e-6, noise=0.01, seed=13)
+    rows, grid_size = [], []
+    statistics, varpro = fit._Profile.statistics, fit._varpro_fit
+
+    def counted(self, x):
+        rows.append(np.size(x))
+        return statistics(self, x)
+
+    def sized(profile, grid, *rest):
+        grid_size.append(grid.size)
+        return varpro(profile, grid, *rest)
+
+    monkeypatch.setattr(fit._Profile, "statistics", counted)
+    monkeypatch.setattr(fit, "_varpro_fit", sized)
+    result = fit_rabi(data)
+    t_ref, dt = data.times[-1], data.times[-1] / (data.n - 1)
+    log_points = fit._log_grid(2 * fit._RABI_ANGLE_FLOOR / t_ref, math.pi / (2 * dt)).size
+    refinement = result.n_evals - grid_size[0]
+    assert grid_size[0] > 19_000
+    # the uniform grid's points come from the lattice sums, except the few screened in
+    assert sum(rows) <= log_points + 8 + refinement
+    assert result.converged
+    assert result.params["omega"] == pytest.approx(TWO_PI * 95e3, rel=1e-4)
