@@ -164,9 +164,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     @classmethod
     def normalized(cls, amplitudes) -> "StateVector":
         amps = np.asarray(amplitudes, dtype=complex)

@@ -45,8 +45,9 @@ the mean squared data, so the refinement below and the reported
 
 A grid's exact solves are screened (``_screened_argmin``): the minimum under
 1^T w = 1 alone, less a round-off slack, bounds the simplex objective from
-below, and points are solved by increasing bound until one exceeds the best
-objective.  The pick is the exhaustive ``np.argmin``, ties to the lowest index.
+below (``_sum_to_one_bound``), and points are solved one at a time by
+increasing bound until the next bound exceeds the best objective.  The pick
+is the exhaustive ``np.argmin``, ties to the lowest index.
 
 The Rabi grid's uniform part (about 2n points) takes its G and b from
 lattice sums (``_rabi_lattice``), not from features.  The features are
@@ -63,12 +64,15 @@ q Omega / 2 sum_j |v_j| |t_j - t_lattice|, the same for the grid values'
 distance from their lattice, and the round-off of both the transform and
 the direct features, passed through the contractions in absolute value.
 It bounds the difference of the objective from the exact one on the
-simplex.  The screen orders points by their bound less the margin, and
-once a transformed point is in reach, every transformed point within reach
-of the best exact objective gets its exact statistics, so the pick is
-still the exhaustive argmin of the exact objectives, and the refinement,
-the fitted values and ``n_evals`` (which counts each grid point once) are
-unchanged.  The Ramsey and echo grids (81 points each) have no lattice
+simplex, so an estimate's bound less its margin bounds its exact
+objective.  ``fit_rabi`` makes the point of the lowest such bound exact and
+solves it; every estimate whose widened bound is at or below that objective
+is then made exact too.  No estimate left can be the argmin, so the screen
+sees only exact points within reach, its pick is the exhaustive argmin of
+the exact objectives, and the refinement, the fitted values and ``n_evals``
+(which counts each grid point once) are unchanged.  On times far from a
+lattice the margins cover the whole objective range, and every point is
+made exact.  The Ramsey and echo grids (81 points each) have no lattice
 sums: their features are damped.
 
 The nonlinear parameter is located on a grid and refined by Brent's
@@ -125,7 +129,6 @@ _PHASE_SPREAD_BOUNDS = (1e-3, 1e2)
 _RABI_ANGLE_FLOOR = 1e-2
 _CHUNK_ROWS = 8192  # trial values x samples per feature block
 _TIE_ULPS = 64  # slack in units of eps * _objective_scale; 4 sufficed on noiseless traces
-_SCREEN_BATCH = 4  # grid points per exact solve while screening
 _ROUND_ULPS = 16  # round-off of a lattice sum or a direct one, in eps per phase and per term
 _XATOL = 1e-10
 _REFINE_MAX_ITER = 200
@@ -444,35 +447,15 @@ def _sum_to_one_bound(gram: np.ndarray, b: np.ndarray) -> np.ndarray:
     return bound
 
 
-def _screened_argmin(gram: np.ndarray, b: np.ndarray, margin=0.0, exact=None) -> int:
-    """``np.argmin`` of the ``_simplex_solve`` objectives of the exact G and
-    b, solving only points whose ``_sum_to_one_bound`` is at or below the
-    best so far.
-
-    Where ``margin`` > 0, gram and b are estimates whose objective is within
-    margin of the exact one on the simplex, so their bound less margin
-    bounds the exact objective.  Points are taken in order of that widened
-    bound.  Once one in reach is estimated, every estimated point in reach
-    of the best so far (all of the first batch's while there is none) gets
-    its exact G and b from ``exact(indices)``, written over the estimates,
-    and its exact bound.
-    """
-    widened = _sum_to_one_bound(gram, b) - margin
-    bound, estimated = widened.copy(), np.broadcast_to(np.asarray(margin) > 0, widened.shape).copy()
+def _screened_argmin(gram: np.ndarray, b: np.ndarray, bound: np.ndarray) -> int:
+    """``np.argmin`` of the ``_simplex_solve`` objectives of G and b, given a
+    lower bound (g,) on each: points are solved one at a time by increasing
+    bound until the next bound exceeds the best objective."""
     objective = np.full(bound.size, np.inf)
-    order = np.argsort(widened)
-    for start in range(0, order.size, _SCREEN_BATCH):
-        batch, best = order[start : start + _SCREEN_BATCH], objective.min()
-        if widened[batch[0]] > best:
+    for i in np.argsort(bound):
+        if bound[i] > objective.min():
             break
-        if estimated[batch].any():
-            reach = estimated & (widened <= best)
-            fetch = batch[estimated[batch]] if best == np.inf else np.flatnonzero(reach)
-            gram[fetch], b[fetch] = exact(fetch)
-            bound[fetch], estimated[fetch] = _sum_to_one_bound(gram[fetch], b[fetch]), False
-        batch = batch[bound[batch] <= best]
-        if batch.size:
-            objective[batch] = _simplex_solve(gram[batch], b[batch])[1]
+        objective[i] = _simplex_solve(gram[i : i + 1], b[i : i + 1])[1][0]
     return int(np.argmin(objective))
 
 
@@ -531,16 +514,16 @@ def _brent(f, lo: float, hi: float) -> tuple[float, bool]:
     return x, False
 
 
-def _varpro_fit(profile: _Profile, grid: np.ndarray, name: str, gram, b, margin=0.0) -> FitResult:
+def _varpro_fit(profile: _Profile, grid: np.ndarray, name: str, gram, b, bound) -> FitResult:
     """Grid search over the increasing positive values ``grid``, whose G, b
-    and margins (``_screened_argmin``) are given, then Brent's search in u
+    and lower bounds (``_screened_argmin``) are given, then Brent's search in u
     = ln(x / x_best) between the best point's neighbours, where ``_XATOL``
     on u is a relative tolerance on x.
 
     params hold the fitted value under ``name`` and the five weights.
     """
     profile.n_evals += grid.size
-    i = _screened_argmin(gram, b, margin, lambda rows: profile.statistics(grid[rows]))
+    i = _screened_argmin(gram, b, bound)
     x_best = float(grid[i])
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
     u, converged = _brent(
@@ -593,14 +576,17 @@ def _check_degenerate(data: TimeSeries) -> FitResult | None:
     return None
 
 
-def _require_enough_points(data: TimeSeries) -> None:
+def _require_trace(data: TimeSeries) -> None:
+    """One population column per Zeeman state and at least two samples."""
+    if data.populations.shape[1] != len(ZEEMAN_M):
+        raise ValueError(f"populations: need {len(ZEEMAN_M)} columns, got {data.populations.shape[1]}")
     if data.n < 2:
         raise ValueError(f"data: need at least 2 samples to fit, got {data.n}")
 
 
 def _require_delays(data: TimeSeries) -> None:
     """At least two samples, at delays >= 0: the Ramsey and echo models' domain."""
-    _require_enough_points(data)
+    _require_trace(data)
     if data.times[0] < 0:
         raise ValueError(f"data: delays must be >= 0, got {data.times[0]:.6g} s")
 
@@ -614,7 +600,7 @@ def rabi_model_curve(times: np.ndarray, omega: float, weights: np.ndarray) -> np
 
 def fit_rabi(data: TimeSeries, omega_guess: float | None = None) -> FitResult:
     """Fit (Omega, initial populations) to a five-level resonant Rabi trace."""
-    _require_enough_points(data)
+    _require_trace(data)
     degenerate = _check_degenerate(data)
     if degenerate is not None:
         return degenerate
@@ -631,7 +617,28 @@ def fit_rabi(data: TimeSeries, omega_guess: float | None = None) -> FitResult:
     gram, b, margin = np.empty((grid.size, dim, dim)), np.empty((grid.size, dim)), np.zeros(grid.size)
     gram[~on_lattice], b[~on_lattice] = profile.statistics(grid[~on_lattice])
     gram[on_lattice], b[on_lattice], margin[on_lattice] = _rabi_lattice(profile, data, uniform, step)
-    return _varpro_fit(profile, grid, "omega", gram, b, margin)
+    # an estimate's exact objective is at least its bound less its margin
+    bound = _sum_to_one_bound(gram, b) - margin
+    # the lowest bound is made exact and solved; an estimate whose bound lies
+    # above that objective cannot be the argmin, and every other is made exact
+    first = [int(np.argmin(bound))]
+    gram[first], b[first] = profile.statistics(grid[first])
+    margin[first] = 0.0
+    reach = np.flatnonzero((margin > 0) & (bound <= _simplex_solve(gram[first], b[first])[1][0]))
+    gram[reach], b[reach] = profile.statistics(grid[reach])
+    exact = np.append(reach, first)
+    bound[exact] = _sum_to_one_bound(gram[exact], b[exact])
+    return _varpro_fit(profile, grid, "omega", gram, b, bound)
+
+
+def _damped_fit(data: TimeSeries, kind: SequenceKind, carrier, variance, grid, name: str) -> FitResult:
+    """``_varpro_fit`` of a Ramsey or echo trace over ``grid``, whose features
+    are the harmonics of ``carrier`` damped by the phase variance
+    ``variance(x)`` (g, n) at trial values x (g,)."""
+    harmonics = _harmonics(carrier)
+    profile = _Profile(data, kind, lambda x: _damped(harmonics, variance(x)))
+    gram, b = profile.statistics(grid)
+    return _varpro_fit(profile, grid, name, gram, b, _sum_to_one_bound(gram, b))
 
 
 @lru_cache(maxsize=None)
@@ -697,11 +704,8 @@ def fit_ramsey(data: TimeSeries, known: dict) -> FitResult:
     spread_unit = math.sqrt(float(var_unit[-1]))
     if not spread_unit > 0:
         raise ValueError("data: the last delay must be positive to resolve B1")
-    lo, hi = (s / spread_unit for s in _PHASE_SPREAD_BOUNDS)
-    harmonics = _harmonics(carrier)
-    profile = _Profile(data, SequenceKind.RAMSEY, lambda b1: _damped(harmonics, b1[:, None] ** 2 * var_unit))
-    grid = _log_grid(lo, hi)
-    return _varpro_fit(profile, grid, "b1", *profile.statistics(grid))
+    grid = _log_grid(*(s / spread_unit for s in _PHASE_SPREAD_BOUNDS))
+    return _damped_fit(data, SequenceKind.RAMSEY, carrier, lambda b1: b1[:, None] ** 2 * var_unit, grid, "b1")
 
 
 def fit_echo(data: TimeSeries, known: dict) -> FitResult:
@@ -724,13 +728,10 @@ def fit_echo(data: TimeSeries, known: dict) -> FitResult:
 
     t = data.times
     t_last = float(t[-1])  # > 0: at least two increasing delays, none negative
-    # phase spread sqrt(c) tau^2 at the last delay
-    lo, hi = (s**2 / t_last**4 for s in _PHASE_SPREAD_BOUNDS)
-    harmonics, t4 = _harmonics(np.zeros_like(t)), t**4  # the carrier cancels
-    profile = _Profile(data, SequenceKind.ECHO, lambda c: _damped(harmonics, c[:, None] * t4))
-    # c scales as the phase spread squared
-    grid = _log_grid(lo, hi, _GRID_PER_DECADE / 2)
-    result = _varpro_fit(profile, grid, "compound", *profile.statistics(grid))
+    # phase spread sqrt(c) tau^2 at the last delay, so c scales as its square
+    grid = _log_grid(*(s**2 / t_last**4 for s in _PHASE_SPREAD_BOUNDS), _GRID_PER_DECADE / 2)
+    t4, zero = t**4, np.zeros_like(t)  # the carrier cancels
+    result = _damped_fit(data, SequenceKind.ECHO, zero, lambda c: c[:, None] * t4, grid, "compound")
     compound = result.params["compound"]
     if "t_axial" in known:
         k_t = CONSTANTS.k_b * float(known["t_axial"])

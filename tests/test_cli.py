@@ -441,8 +441,10 @@ def test_fit_echo_bad_trace_exits_one(tmp_path, capsys, t0, p, named):
         ("fit-ramsey", "-1,1,0,0,0,0\n1,0.9,0.1,0,0,0\n", "delays must be >= 0"),
         ("fit-rabi", "", "no data rows"),
         ("fit-rabi", "\n# no samples\n", "no data rows"),
+        ("fit-rabi", "1,1,0,0,0,0\n2,0.9,0.1,0,0,x\n", "malformed CSV"),
+        ("fit-rabi", "1,1,0,0\n2,0.9,0.1,0\n", "need a time column plus five population columns"),
     ],
-    ids=["repeated-time", "one-row", "negative-delay", "header-only", "comments-only"],
+    ids=["repeated-time", "one-row", "negative-delay", "header-only", "comments-only", "non-numeric", "four-columns"],
 )
 def test_bad_data_file_names_data(tmp_path, capsys, scenario, rows, message):
     data_csv = tmp_path / "trace.csv"
@@ -451,6 +453,32 @@ def test_bad_data_file_names_data(tmp_path, capsys, scenario, rows, message):
     cfg = write_config(tmp_path, "fit.yaml", f"scenario: {scenario}\ndata: {data_csv}\n{known}")
     assert run_cli(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: data: {message}")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (RABI_CONFIG.replace("p0_plus1: 0.03", "p0_plus1: 0.3"), "p0_plus2"),
+        (RABI_CONFIG.replace("800 kHz", "fast"), "omega0"),
+        ("scenario: ramsey\ntau_max: 40 us\nmethod: fast\n" + ENSEMBLE, "method"),
+        ("scenario: fit-rabi\ndata: 5\n", "data"),
+        ("scenario: rabi\nomega0: [800 kHz\n", "config"),
+        ("- scenario: rabi\n", "scenario"),
+        (RABI_KEYS, "scenario"),
+    ],
+    ids=["p0-sum", "omega0", "method", "data", "invalid-yaml", "list", "no-scenario"],
+)
+def test_bad_config_exits_one_naming_its_key(tmp_path, capsys, text, key):
+    cfg, out = write_config(tmp_path, "bad.yaml", text), tmp_path / "x.csv"
+    assert run_cli(["run", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not out.exists()
+
+
+def test_out_into_a_missing_directory_exits_one_naming_out(tmp_path, capsys):
+    cfg = write_config(tmp_path, "rabi.yaml", RABI_CONFIG)
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "missing" / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("config error: --out: cannot write ")
 
 
 def test_fit_echo_needs_no_sigma_z0_and_rejects_b0(tmp_path, capsys):

@@ -230,6 +230,37 @@ def test_echo_cold_limit_not_identifiable():
     assert "identifiable" in result.diagnostic
 
 
+_FITTERS = {
+    "rabi": fit_rabi,
+    "ramsey": lambda data: fit_ramsey(data, RAMSEY_KNOWN),
+    "echo": lambda data: fit_echo(data, {"t_axial": 0.2e-3}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FITTERS))
+def test_fit_rejects_populations_without_five_columns(name):
+    times = np.linspace(1e-6, 2e-4, 290)
+    pops = np.random.default_rng(3).dirichlet(np.ones(3), size=290)
+    with pytest.raises(ValueError, match="^populations: need 5 columns, got 3$"):
+        _FITTERS[name](TimeSeries(times=times, populations=pops))
+
+
+@pytest.mark.parametrize("name", ["ramsey", "echo"])
+def test_damped_fit_of_a_constant_trace_is_not_identifiable(name):
+    times = np.linspace(1e-6, 2e-4, 30)
+    pops = np.tile([0.6, 0, 0.4, 0, 0], (30, 1))
+    result = _FITTERS[name](TimeSeries(times=times, populations=pops))
+    assert not result.converged
+    assert result.n_evals == 0
+    assert "identifiable" in result.diagnostic
+
+
+def test_rabi_negative_guess_names_omega_guess():
+    data = synthetic_rabi(TWO_PI * 95e3, [1, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match="^omega_guess: must be positive"):
+        fit_rabi(data, omega_guess=-TWO_PI * 95e3)
+
+
 def _add_noise(data: TimeSeries, sigma: float, rng) -> TimeSeries:
     noisy = np.clip(data.populations + rng.normal(0, sigma, (data.n, 5)), 0, 1)
     noisy /= noisy.sum(axis=1, keepdims=True)
@@ -427,7 +458,7 @@ def _screen_cases(monkeypatch):
 
 def test_screened_argmin_is_the_exhaustive_argmin(monkeypatch):
     for gram, b in _screen_cases(monkeypatch):
-        assert fit._screened_argmin(gram, b) == _exhaustive_argmin(gram, b)
+        assert fit._screened_argmin(gram, b, fit._sum_to_one_bound(gram, b)) == _exhaustive_argmin(gram, b)
 
 
 @pytest.mark.parametrize("rank", [5, 4, 3, 2, 1])
@@ -454,8 +485,9 @@ def test_sum_to_one_bound_of_a_singular_system_is_unbounded():
     assert np.all(bound == -np.inf)
 
 
-def test_noisy_rabi_fit_solves_few_grid_points_exactly(monkeypatch):
-    data = synthetic_rabi(TWO_PI * 95e3, [0.5, 0.3, 0.2, 0, 0], n=1000, t_max=40e-6, noise=0.01, seed=5)
+def _grid_solve_rows(monkeypatch, data: TimeSeries):
+    """``fit_rabi(data)`` and the number of rows that reach
+    ``fit._simplex_solve`` outside the refinement."""
     rows, refining = [], []
     simplex, refine = fit._simplex_solve, fit._Profile.fit
 
@@ -474,25 +506,38 @@ def test_noisy_rabi_fit_solves_few_grid_points_exactly(monkeypatch):
     monkeypatch.setattr(fit, "_simplex_solve", counted)
     monkeypatch.setattr(fit._Profile, "fit", brent_step)
     result = fit_rabi(data)
-    assert sum(rows) <= 8  # of 2,077 grid points
+    monkeypatch.undo()
+    return result, sum(rows)
+
+
+def test_noisy_rabi_fit_solves_few_grid_points_exactly(monkeypatch):
+    data = synthetic_rabi(TWO_PI * 95e3, [0.5, 0.3, 0.2, 0, 0], n=1000, t_max=40e-6, noise=0.01, seed=5)
+    result, rows = _grid_solve_rows(monkeypatch, data)
+    assert rows <= 8  # of 2,077 grid points
     assert result.n_evals == 2089  # every grid point's statistics and 12 refinement steps
 
 
 def _lattice_screen(monkeypatch, data: TimeSeries, **kwargs) -> dict:
-    """What ``fit_rabi(data)`` hands its grid search: the grid, the estimated
-    G and b with their margins, the exact statistics, and its pick."""
+    """What ``fit_rabi(data)`` searches: the grid, the lattice's uniform
+    grid with its estimated G and b and their margins as
+    ``fit._rabi_lattice`` returns them, the exact statistics, and the pick."""
     seen = {}
-    varpro, screened = fit._varpro_fit, fit._screened_argmin
+    lattice, varpro, screened = fit._rabi_lattice, fit._varpro_fit, fit._screened_argmin
 
-    def capture(profile, grid, name, gram, b, margin=0.0):
-        seen.update(grid=grid, gram=gram.copy(), b=b.copy(), exact=profile.statistics(grid))
-        seen["margin"] = np.broadcast_to(margin, grid.shape).copy()
-        return varpro(profile, grid, name, gram, b, margin)
+    def estimate(profile, data, omega, step):
+        gram, b, margin = lattice(profile, data, omega, step)
+        seen.update(uniform=omega.copy(), gram=gram.copy(), b=b.copy(), margin=margin.copy())
+        return gram, b, margin
+
+    def capture(profile, grid, *rest):
+        seen.update(grid=grid, exact=profile.statistics(grid))
+        return varpro(profile, grid, *rest)
 
     def pick(*args):
         seen["pick"] = screened(*args)
         return seen["pick"]
 
+    monkeypatch.setattr(fit, "_rabi_lattice", estimate)
     monkeypatch.setattr(fit, "_varpro_fit", capture)
     monkeypatch.setattr(fit, "_screened_argmin", pick)
     fit_rabi(data, **kwargs)
@@ -540,19 +585,36 @@ def test_lattice_screen_picks_the_exhaustive_argmin(monkeypatch, tmp_path):
         assert seen["pick"] == _exhaustive_argmin(*seen["exact"]), label
 
 
+def _random_time_trace(n: int) -> TimeSeries:
+    """A noisy three-state Rabi trace at sorted random times, far from any lattice."""
+    rng = np.random.default_rng(n)
+    t = np.sort(rng.uniform(0, 40e-6, n))
+    clean = fit.rabi_model_curve(t, TWO_PI * 95e3, np.array([0.5, 0.3, 0.2, 0, 0]))
+    noise = rng.normal(0, 0.01, clean.shape)
+    return TimeSeries(t, clean + noise - noise.mean(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_random_time_rabi_fit_solves_few_grid_points_exactly(monkeypatch, n):
+    data = _random_time_trace(n)
+    seen = _lattice_screen(monkeypatch, data)
+    assert seen["pick"] == _exhaustive_argmin(*seen["exact"])
+    # the margins cover the objective's whole range here, so every estimate is made exact first
+    assert _grid_solve_rows(monkeypatch, data)[1] <= 4
+
+
 def test_lattice_margin_bounds_the_objective_error(monkeypatch, tmp_path):
     w = np.random.default_rng(29).dirichlet(np.ones(len(ZEEMAN_M)), size=100)
     for label, seen in _lattice_cases(monkeypatch, tmp_path):
-        estimated = seen["margin"] > 0
-        (gram, b), (exact_gram, exact_b) = (
-            (g[estimated], v[estimated]) for g, v in ((seen["gram"], seen["b"]), seen["exact"])
-        )
+        on_lattice = np.isin(seen["grid"], seen["uniform"])
+        gram, b = seen["gram"], seen["b"]
+        exact_gram, exact_b = (a[on_lattice] for a in seen["exact"])
 
         def objective(g, v):
             return np.einsum("wi,gij,wj->gw", w, g, w) - 2 * np.einsum("gi,wi->gw", v, w)
 
         error = np.abs(objective(gram, b) - objective(exact_gram, exact_b)).max(axis=1)
-        assert np.all(error <= seen["margin"][estimated]), label
+        assert np.all(error <= seen["margin"]), label
 
 
 @pytest.mark.parametrize("t0", [0.0, 3e-6])
