@@ -19,7 +19,9 @@ incoherent mixture (|+2> when none is given).  Their sum must be 1 within
 1e-6, and they are divided by it, so the mixture is normalized.
 
 The fit-* scenarios read a previously generated CSV (``data`` key), print
-the fitted parameters to stdout, and write the fitted model curve as CSV.
+the fitted parameters to stdout, and write as CSV the curve the fit returns
+(``FitResult.curve``, the fitted model at the data's times), or zeros when
+the fit did not converge.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ parse_seed = _integer_parser(0, "non-negative")
 def parse_number(key: str, raw) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {raw!r}")
-    if not math.isfinite(raw):
+    # NaN and inf fail, and so does an int beyond the float range: int and float compare exactly
+    if not abs(raw) <= sys.float_info.max:
         raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
     return float(raw)
 
@@ -203,19 +206,13 @@ def _run_fstirap_scan(params: dict) -> RunOutput:
     return RunOutput(["eta", *P_COLUMNS, "survival"], rows)
 
 
-def _field_and_spec(params: dict, b1: float, samples: int = 1, seed: int = 0):
-    """FieldConfig and EnsembleSpec of the b0, sigma_z0 and t_axial keys."""
-    cfg = FieldConfig(b0=params["b0"], b1=b1)
-    spec = ensemble.EnsembleSpec(
-        sigma_z0=params["sigma_z0"], t_axial=params["t_axial"], n_samples=samples, seed=seed
-    )
-    return cfg, spec
-
-
 def _run_ensemble(params: dict, column: str, tau1, tau2=None) -> RunOutput:
     """Ramsey (no tau2) or echo curve of the p0_* mixture and its envelope,
     against the varied delay in us under ``column``."""
-    cfg, spec = _field_and_spec(params, params["b1"], params["samples"], params["seed"])
+    cfg = FieldConfig(b0=params["b0"], b1=params["b1"])
+    spec = ensemble.EnsembleSpec(
+        params["sigma_z0"], params["t_axial"], n_samples=params["samples"], seed=params["seed"]
+    )
     if tau2 is None:
         kind, delay = ensemble.SequenceKind.RAMSEY, tau1
         env = ensemble.ramsey_envelope(cfg, spec, tau1)
@@ -263,14 +260,13 @@ def _load_timeseries(key: str, path: str) -> fit.TimeSeries:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _fit_output(column: str, data, result, extra: dict, model) -> RunOutput:
-    """The fitted curve model(weights) against ``column`` (zeros unless the
-    fit converged) and the stdout lines: ``extra``, the five initial
-    populations (NaN when the fit reports none), then the fit's status."""
-    weights = np.array([result.params.get(k, float("nan")) for k in fit._POP_KEYS])
-    curve = model(weights) if result.converged else np.zeros((data.n, 5))
+def _fit_output(column: str, data, result, extra: dict) -> RunOutput:
+    """The fit's curve against ``column`` (zeros unless the fit converged)
+    and the stdout lines: ``extra``, the five initial populations (NaN when
+    the fit reports none), then the fit's status."""
+    curve = result.curve if result.converged else np.zeros((data.n, 5))
     lines = [f"{name} = {value:.9g}" for name, value in extra.items()]
-    lines += [f"{name} = {value:.9g}" for name, value in zip(fit._POP_KEYS, weights)]
+    lines += [f"{name} = {result.params.get(name, math.nan):.9g}" for name in fit._POP_KEYS]
     lines.append(f"residual_rms = {result.residual_rms:.9g}")
     lines.append(f"converged = {str(result.converged).lower()}")
     lines.append(f"n_evals = {result.n_evals}")
@@ -284,43 +280,26 @@ def _run_fit_rabi(params: dict) -> RunOutput:
     data = _load_timeseries("data", params["data"])
     result = fit.fit_rabi(data, omega_guess=params["omega_guess"])
     omega = result.params.get("omega", float("nan"))
-    extra = {"omega_khz": omega / (TWO_PI * 1e3)}
-    return _fit_output(
-        "t_us", data, result, extra, lambda w: fit.rabi_model_curve(data.times, omega, w)
-    )
+    return _fit_output("t_us", data, result, {"omega_khz": omega / (TWO_PI * 1e3)})
 
 
 def _run_fit_ramsey(params: dict) -> RunOutput:
     data = _load_timeseries("data", params["data"])
     result = fit.fit_ramsey(data, {k: params[k] for k in ("b0", "sigma_z0", "t_axial")})
     b1 = result.params.get("b1", float("nan"))
-    return _fit_output(
-        "tau1_us",
-        data,
-        result,
-        {"b1_mg_per_mm": b1 / 1e-4},
-        lambda w: ensemble.ensemble_average_curve(
-            *_field_and_spec(params, b1),
-            ensemble.SequenceKind.RAMSEY,
-            data.times,
-            initial=Populations(w),
-        ),
-    )
+    return _fit_output("tau1_us", data, result, {"b1_mg_per_mm": b1 / 1e-4})
 
 
 def _run_fit_echo(params: dict) -> RunOutput:
     data = _load_timeseries("data", params["data"])
     known = {k: params[k] for k in ("t_axial", "b1") if params[k] is not None}
     result = fit.fit_echo(data, known)
-    compound = result.params.get("compound", float("nan"))
-    extra = {"compound_per_s4": compound}
+    extra = {"compound_per_s4": result.params.get("compound", float("nan"))}
     if "b1" in result.params:
         extra["b1_mg_per_mm"] = result.params["b1"] / 1e-4
     if "t_axial" in result.params:
         extra["t_axial_mk"] = result.params["t_axial"] / 1e-3
-    return _fit_output(
-        "tau_tilde_us", data, result, extra, lambda w: fit.echo_model_curve(data.times, compound, w)
-    )
+    return _fit_output("tau_tilde_us", data, result, extra)
 
 
 _RABI_REQ = {

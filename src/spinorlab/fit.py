@@ -99,18 +99,24 @@ Grid bounds are set by a dimensionless scale of the sampled trace:
 ``fit_rabi`` takes an ``omega_guess``, which narrows its grid to
 [guess / 2, 2 guess] within these bounds.
 Residuals weight every sample and every m channel equally.
+
+Each fit returns its model at the trace's times, at the fitted value and
+weights, built by the model's closed form: ``rabi_model_curve``, the
+analytic ``ensemble.ensemble_average_curve`` for Ramsey, and
+``echo_model_curve``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import CONSTANTS, TWO_PI, ZEEMAN_M
+from . import ensemble
+from .core import CONSTANTS, TWO_PI, ZEEMAN_M, Populations
 from .ensemble import (
     EnsembleSpec,
     SequenceKind,
@@ -165,11 +171,28 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Outcome of a fit.
+
+    params: the fitted nonlinear value (omega in rad/s, b1 in T/m, or
+        compound in s^-4, plus b1 or t_axial derived from it for echo) and
+        the five initial-population weights under ``_POP_KEYS``; empty when
+        the trace is constant and nothing is identifiable.
+    residual_rms: rms over samples and channels of the explicit residual at
+        the fitted value and weights (0 when params is empty).
+    converged: whether the refinement's bracket shrank below ``_XATOL``
+        within ``_REFINE_MAX_ITER`` evaluations.
+    n_evals: grid points plus refinement steps evaluated.
+    diagnostic: why a value is unresolved or unidentifiable, else None.
+    curve: the fitted model at the trace's times, shape (n, 5), at the
+        fitted value and weights; None when params is empty.
+    """
+
     params: dict
     residual_rms: float
     converged: bool
     n_evals: int
     diagnostic: str | None = None
+    curve: np.ndarray | None = field(default=None, compare=False)  # follows from params; == skips it
 
     def __post_init__(self):
         if self.residual_rms < 0:
@@ -514,13 +537,14 @@ def _brent(f, lo: float, hi: float) -> tuple[float, bool]:
     return x, False
 
 
-def _varpro_fit(profile: _Profile, grid: np.ndarray, name: str, gram, b, bound) -> FitResult:
+def _varpro_fit(profile: _Profile, grid: np.ndarray, name: str, gram, b, bound, model) -> FitResult:
     """Grid search over the increasing positive values ``grid``, whose G, b
     and lower bounds (``_screened_argmin``) are given, then Brent's search in u
     = ln(x / x_best) between the best point's neighbours, where ``_XATOL``
     on u is a relative tolerance on x.
 
-    params hold the fitted value under ``name`` and the five weights.
+    params hold the fitted value under ``name`` and the five weights; the
+    curve is ``model(x, weights)`` at the fitted ones.
     """
     profile.n_evals += grid.size
     i = _screened_argmin(gram, b, bound)
@@ -543,6 +567,7 @@ def _varpro_fit(profile: _Profile, grid: np.ndarray, name: str, gram, b, bound) 
         converged=converged,
         n_evals=profile.n_evals,
         diagnostic=diagnostic,
+        curve=model(x, weights),
     )
 
 
@@ -628,17 +653,18 @@ def fit_rabi(data: TimeSeries, omega_guess: float | None = None) -> FitResult:
     gram[reach], b[reach] = profile.statistics(grid[reach])
     exact = np.append(reach, first)
     bound[exact] = _sum_to_one_bound(gram[exact], b[exact])
-    return _varpro_fit(profile, grid, "omega", gram, b, bound)
+    return _varpro_fit(profile, grid, "omega", gram, b, bound, partial(rabi_model_curve, data.times))
 
 
-def _damped_fit(data: TimeSeries, kind: SequenceKind, carrier, variance, grid, name: str) -> FitResult:
+def _damped_fit(data: TimeSeries, kind: SequenceKind, carrier, variance, grid, name: str, model) -> FitResult:
     """``_varpro_fit`` of a Ramsey or echo trace over ``grid``, whose features
     are the harmonics of ``carrier`` damped by the phase variance
-    ``variance(x)`` (g, n) at trial values x (g,)."""
+    ``variance(x)`` (g, n) at trial values x (g,), with the curve
+    ``model(x, weights)``."""
     harmonics = _harmonics(carrier)
     profile = _Profile(data, kind, lambda x: _damped(harmonics, variance(x)))
     gram, b = profile.statistics(grid)
-    return _varpro_fit(profile, grid, name, gram, b, _sum_to_one_bound(gram, b))
+    return _varpro_fit(profile, grid, name, gram, b, _sum_to_one_bound(gram, b), model)
 
 
 @lru_cache(maxsize=None)
@@ -693,9 +719,10 @@ def fit_ramsey(data: TimeSeries, known: dict) -> FitResult:
         t_axial=float(known["t_axial"]),
         n_samples=1,
     )
+    cfg = FieldConfig(b0=float(known["b0"]), b1=1.0)
     # the carrier does not depend on B1 and the variance scales as B1^2
     carrier, var_unit = _carrier_and_variance(
-        FieldConfig(b0=float(known["b0"]), b1=1.0),
+        cfg,
         spec,
         SequenceKind.RAMSEY,
         data.times,
@@ -705,7 +732,15 @@ def fit_ramsey(data: TimeSeries, known: dict) -> FitResult:
     if not spread_unit > 0:
         raise ValueError("data: the last delay must be positive to resolve B1")
     grid = _log_grid(*(s / spread_unit for s in _PHASE_SPREAD_BOUNDS))
-    return _damped_fit(data, SequenceKind.RAMSEY, carrier, lambda b1: b1[:, None] ** 2 * var_unit, grid, "b1")
+
+    def model(b1: float, weights: np.ndarray) -> np.ndarray:
+        return ensemble.ensemble_average_curve(
+            replace(cfg, b1=b1), spec, SequenceKind.RAMSEY, data.times, initial=Populations(weights)
+        )
+
+    return _damped_fit(
+        data, SequenceKind.RAMSEY, carrier, lambda b1: b1[:, None] ** 2 * var_unit, grid, "b1", model
+    )
 
 
 def fit_echo(data: TimeSeries, known: dict) -> FitResult:
@@ -731,7 +766,8 @@ def fit_echo(data: TimeSeries, known: dict) -> FitResult:
     # phase spread sqrt(c) tau^2 at the last delay, so c scales as its square
     grid = _log_grid(*(s**2 / t_last**4 for s in _PHASE_SPREAD_BOUNDS), _GRID_PER_DECADE / 2)
     t4, zero = t**4, np.zeros_like(t)  # the carrier cancels
-    result = _damped_fit(data, SequenceKind.ECHO, zero, lambda c: c[:, None] * t4, grid, "compound")
+    model = partial(echo_model_curve, t)
+    result = _damped_fit(data, SequenceKind.ECHO, zero, lambda c: c[:, None] * t4, grid, "compound", model)
     compound = result.params["compound"]
     if "t_axial" in known:
         k_t = CONSTANTS.k_b * float(known["t_axial"])

@@ -37,10 +37,15 @@ one DOP853 loop.  A step evaluates the envelopes at its 12 stage times in
 one ``np.exp`` and forms h(-iH) for every stage and chain as one
 (12, c, 5, 5) batch.  The error norm is the RMS over all 5c components,
 not per chain, so a chain's local error may reach sqrt(c) times the
-one-chain bound; stacks of 3 to 25 chains measured within 2.7e-10 of
-per-chain solves, and the union window alone moves a chain ~1e-14.  A
-trace's sample times inside a step are reached by one shorter step from its
-start, so no interpolant is needed.
+one-chain bound.  Against the rtol-1e-12 oracle ``chain_trace`` of
+tests/oracles.py, on an eta = 0 ... 2.5 scan at the acceptance suite's
+pulses and a 0.40 us delay, the largest final population error of a
+stack of c chains measured 1.4e-11 at c = 1, 2.9e-10 at c = 3, 4.0e-10
+at c = 6, 6.3e-10 at c = 12, 5.4e-10 at c = 25, 1.15e-9 at c = 50 and
+1.17e-9 at c = 100, where each chain solved alone stays within 3.9e-10.
+The union window alone moves a chain ~1e-14.  A trace's sample times
+inside a step are reached by one shorter step from its start, so no
+interpolant is needed.
 """
 
 from __future__ import annotations

@@ -465,8 +465,11 @@ def test_bad_data_file_names_data(tmp_path, capsys, scenario, rows, message):
         ("scenario: rabi\nomega0: [800 kHz\n", "config"),
         ("- scenario: rabi\n", "scenario"),
         (RABI_KEYS, "scenario"),
+        # integers beyond the float range are config errors, not numerical failures
+        ("scenario: fstirap-scan\neta_max: " + "1" * 400 + "\n" + STIRAP_PULSES, "eta_max"),
+        (RABI_CONFIG.replace("p0_plus2: 0.97", "p0_plus2: " + "9" * 400), "p0_plus2"),
     ],
-    ids=["p0-sum", "omega0", "method", "data", "invalid-yaml", "list", "no-scenario"],
+    ids=["p0-sum", "omega0", "method", "data", "invalid-yaml", "list", "no-scenario", "huge-eta", "huge-p0"],
 )
 def test_bad_config_exits_one_naming_its_key(tmp_path, capsys, text, key):
     cfg, out = write_config(tmp_path, "bad.yaml", text), tmp_path / "x.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinorlab import cli, fit
-from spinorlab.core import CONSTANTS, ZEEMAN_M, build_spin_system
+from spinorlab.core import CONSTANTS, ZEEMAN_M, Populations, build_spin_system
 from spinorlab.ensemble import EnsembleSpec, SequenceKind, ensemble_average_curve
 from spinorlab.fit import (
     TimeSeries,
@@ -275,6 +275,46 @@ def test_noisy_recovery_ramsey_and_echo():
     noisy = _add_noise(synthetic_echo(13.5, 0.2e-3), 0.02, rng)
     result = fit_echo(noisy, {"sigma_z0": 0.73e-3, "t_axial": 0.2e-3})
     assert result.params["b1"] == pytest.approx(13.5 * MG_PER_MM, rel=0.05)
+
+
+_TRACES = {
+    "rabi": lambda: synthetic_rabi(TWO_PI * 95e3, [0.5, 0.3, 0.2, 0, 0], n=100, t_max=40e-6),
+    "ramsey": lambda: synthetic_ramsey(4.5),
+    "echo": lambda: synthetic_echo(13.5, 0.2e-3),
+}
+
+
+def _model_at_fit(name: str, data: TimeSeries, params: dict) -> np.ndarray:
+    """The model curve at the fitted values, built as a caller would build it."""
+    weights = np.array([params[k] for k in fit._POP_KEYS])
+    if name == "rabi":
+        return rabi_model_curve(data.times, params["omega"], weights)
+    if name == "echo":
+        return echo_model_curve(data.times, params["compound"], weights)
+    field = FieldConfig(b0=RAMSEY_KNOWN["b0"], b1=params["b1"])
+    spec = EnsembleSpec(sigma_z0=RAMSEY_KNOWN["sigma_z0"], t_axial=RAMSEY_KNOWN["t_axial"], n_samples=1)
+    return ensemble_average_curve(field, spec, SequenceKind.RAMSEY, data.times, initial=Populations(weights))
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.02], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("name", sorted(_FITTERS))
+def test_fit_curve_is_the_model_at_the_fitted_values(name, noise):
+    data = _TRACES[name]()
+    if noise:
+        data = _add_noise(data, noise, np.random.default_rng(29))
+    result = _FITTERS[name](data)
+    assert result.converged
+    expected = _model_at_fit(name, data, result.params)
+    assert result.curve.shape == (data.n, 5)
+    assert result.curve.tobytes() == expected.tobytes()  # bit for bit
+
+
+@pytest.mark.parametrize("name", sorted(_FITTERS))
+def test_fit_of_a_constant_trace_has_no_curve(name):
+    times = np.linspace(1e-6, 2e-4, 30)
+    result = _FITTERS[name](TimeSeries(times=times, populations=np.tile([0.6, 0, 0.4, 0, 0], (30, 1))))
+    assert result.params == {}
+    assert result.curve is None
 
 
 def test_fits_are_deterministic():

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import os
 import subprocess
@@ -91,3 +92,21 @@ def test_no_scenario_imports_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"  # after the fits' printed parameters
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Each module but ``__init__`` (which re-exports) uses every name it
+    imports, so that a deletion leaves no stale import behind."""
+    unused = []
+    for path in sorted(Path(spinorlab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]  # import a.b binds a
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
