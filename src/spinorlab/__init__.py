@@ -9,8 +9,9 @@ measured population traces.
 """
 
 from .core import (
-    CONSTANTS,
-    PhysicalConstants,
+    GAMMA,
+    K_B,
+    MASS_NE20,
     Populations,
     SpinSystem,
     StateVector,
@@ -51,7 +52,6 @@ from .ensemble import (
     AverageMethod,
     EnsembleSpec,
     SequenceKind,
-    SequenceTiming,
     echo_envelope,
     ensemble_average,
     ensemble_average_curve,

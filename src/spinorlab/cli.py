@@ -97,16 +97,18 @@ parse_length = _unit_parser("length")
 parse_temperature = _unit_parser("temperature")
 
 
-def _integer_parser(least: int, kind: str):
+def _integer_parser(least: int, kind: str, most: float = math.inf):
     def parse(key: str, raw) -> int:
         if isinstance(raw, bool) or not isinstance(raw, int) or raw < least:
             raise ConfigError(f"{key}: expected a {kind} integer, got {raw!r}")
+        if raw > most:
+            raise ConfigError(f"{key}: must be at most {most}")
         return raw
 
     return parse
 
 
-parse_count = _integer_parser(1, "positive")
+parse_count = _integer_parser(1, "positive", sys.maxsize)  # a count beyond it is no array size
 parse_seed = _integer_parser(0, "non-negative")
 
 
@@ -285,15 +287,14 @@ def _run_fit_rabi(params: dict) -> RunOutput:
 
 def _run_fit_ramsey(params: dict) -> RunOutput:
     data = _load_timeseries("data", params["data"])
-    result = fit.fit_ramsey(data, {k: params[k] for k in ("b0", "sigma_z0", "t_axial")})
+    result = fit.fit_ramsey(data, b0=params["b0"], sigma_z0=params["sigma_z0"], t_axial=params["t_axial"])
     b1 = result.params.get("b1", float("nan"))
     return _fit_output("tau1_us", data, result, {"b1_mg_per_mm": b1 / 1e-4})
 
 
 def _run_fit_echo(params: dict) -> RunOutput:
     data = _load_timeseries("data", params["data"])
-    known = {k: params[k] for k in ("t_axial", "b1") if params[k] is not None}
-    result = fit.fit_echo(data, known)
+    result = fit.fit_echo(data, t_axial=params["t_axial"], b1=params["b1"])
     extra = {"compound_per_s4": result.params.get("compound", float("nan"))}
     if "b1" in result.params:
         extra["b1_mg_per_mm"] = result.params["b1"] / 1e-4
@@ -393,6 +394,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config: cannot read {path!r} ({exc})") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config: invalid YAML in {path!r} ({exc})") from exc
+    except ValueError as exc:  # an integer beyond Python's digit limit, or bytes that are not UTF-8
+        raise ConfigError(f"config: cannot load {path!r} ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError("scenario: config must be a flat key-value mapping")
     for key, value in raw.items():
@@ -415,8 +418,8 @@ def run_scenario(raw: dict, seed_override=None, samples_override=None) -> RunOut
         raise ConfigError("scenario: required key missing")
     name = raw["scenario"]
     if name not in SCENARIOS:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ConfigError(f"scenario: unknown scenario {name!r} (known: {known})")
+        names = ", ".join(sorted(SCENARIOS))
+        raise ConfigError(f"scenario: unknown scenario {name!r} (known: {names})")
     required, optional, runner = SCENARIOS[name]
     for key in sorted(raw):
         if key != "scenario" and key not in required and key not in optional:

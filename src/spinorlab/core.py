@@ -19,36 +19,14 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 ZEEMAN_M = (2, 1, 0, -1, -2)  # spin-2 projections in basis order
 
-_ATOMIC_MASS_KG = 1.66053906660e-27
-_NE20_MASS_U = 19.9924401762
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Physical constants (CODATA 2018) plus the atomic parameters used here.
-
-    g_j defaults to 3/2, the Lande factor of a pure-LS 3P2 term; with it the
-    gyromagnetic ratio comes out at 2*pi x 2.0994 MHz/G.
-    """
-
-    mu_b: float = 9.2740100783e-24  # J/T
-    hbar: float = 1.054571817e-34  # J s
-    k_b: float = 1.380649e-23  # J/K
-    mass_ne20: float = _NE20_MASS_U * _ATOMIC_MASS_KG  # kg
-    g_j: float = 1.5
-
-    def __post_init__(self):
-        for name in ("mu_b", "hbar", "k_b", "mass_ne20", "g_j"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-
-    @property
-    def gamma(self) -> float:
-        """Gyromagnetic ratio g_j * mu_B / hbar in rad/(s T)."""
-        return self.g_j * self.mu_b / self.hbar
-
-
-CONSTANTS = PhysicalConstants()
+# CODATA 2018 constants, and the atomic parameters of metastable Ne-20 3P2
+_MU_B = 9.2740100783e-24  # J/T
+_HBAR = 1.054571817e-34  # J s
+_G_J = 1.5  # Lande factor of a pure-LS 3P2 term
+K_B = 1.380649e-23  # J/K
+MASS_NE20 = 19.9924401762 * 1.66053906660e-27  # kg: the mass in u times the atomic mass unit
+# gyromagnetic ratio g_J mu_B / hbar in rad/(s T): 2*pi x 2.0994 MHz/G at g_J = 3/2
+GAMMA = _G_J * _MU_B / _HBAR
 
 
 def _doubled(x: float, name: str) -> int:

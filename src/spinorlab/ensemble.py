@@ -60,7 +60,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
-    CONSTANTS,
+    K_B,
+    MASS_NE20,
     Populations,
     StateVector,
     build_spin_system,
@@ -76,16 +77,6 @@ _MC_BATCH = 16384
 class SequenceKind(Enum):
     RAMSEY = "ramsey"
     ECHO = "echo"
-
-
-@dataclass(frozen=True)
-class SequenceTiming:
-    kind: SequenceKind
-    tau1: float
-    tau2: float = 0.0
-
-    def __post_init__(self):
-        _check_delays(self.tau1, self.tau2)
 
 
 def _check_delays(tau1, tau2) -> None:
@@ -119,7 +110,7 @@ class EnsembleSpec:
 
     @property
     def sigma_vz(self) -> float:
-        return math.sqrt(CONSTANTS.k_b * self.t_axial / CONSTANTS.mass_ne20)
+        return math.sqrt(K_B * self.t_axial / MASS_NE20)
 
 
 def _phase_terms(field: FieldConfig, kind: SequenceKind, tau1, tau2):
@@ -215,19 +206,22 @@ def _harmonic_sum(a, var, coeffs: np.ndarray) -> np.ndarray:
 def ensemble_average(
     field: FieldConfig,
     spec: EnsembleSpec,
-    timing: SequenceTiming,
-    initial: StateVector | Populations,
+    kind: SequenceKind,
+    tau1: float,
+    tau2: float = 0.0,
+    initial: StateVector | Populations | None = None,
     method: AverageMethod = AverageMethod.ANALYTIC,
 ) -> Populations:
-    """Ensemble-averaged populations after the sequence at one timing.
+    """Ensemble-averaged populations after the sequence at one timing: row 0
+    of ``ensemble_average_curve``.
 
-    ``initial`` is a pure state, or Populations: an incoherent mixture of the
-    Zeeman basis states, averaged in one run for all its basis states.
+    The delays tau1 and tau2 (s; the echo reads tau2, Ramsey ignores it) must
+    be finite and >= 0.  ``initial`` defaults to |+2>; a Populations is an
+    incoherent mixture of the Zeeman basis states, averaged in one run for
+    all its basis states.
     """
-    curve = ensemble_average_curve(
-        field, spec, timing.kind, timing.tau1, timing.tau2, initial, method
-    )
-    return Populations(curve[0])
+    _check_delays(tau1, tau2)
+    return Populations(ensemble_average_curve(field, spec, kind, tau1, tau2, initial, method)[0])
 
 
 def ensemble_average_curve(

@@ -6,7 +6,7 @@ Three fitters mirror the experimental analysis chain:
               resonant Rabi trace (closed-form rotation model with an
               incoherent mixture of initial basis states).
   fit_ramsey  gradient B1 (and initial populations) from a Ramsey trace,
-              with B0, sigma_z0, T_z known.
+              with B0, sigma_z0 and T_z given.
   fit_echo    the compound dephasing parameter c = (gamma B1)^2 k_B T_z / m
               from an echo trace at tau1 = tau2.  Only c is identifiable
               from that trace; B1 or T_z is reported when the other is
@@ -116,7 +116,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import ensemble
-from .core import CONSTANTS, TWO_PI, ZEEMAN_M, Populations
+from .core import GAMMA, K_B, MASS_NE20, TWO_PI, ZEEMAN_M, Populations
 from .ensemble import (
     EnsembleSpec,
     SequenceKind,
@@ -588,32 +588,21 @@ def _grid_bounds(lo: float, hi: float, guess) -> tuple[float, float]:
     return narrow_lo, narrow_hi
 
 
-def _check_degenerate(data: TimeSeries) -> FitResult | None:
-    variation = float(np.max(np.ptp(data.populations, axis=0)))
-    if variation < 1e-9:
-        return FitResult(
-            params={},
-            residual_rms=0.0,
-            converged=False,
-            n_evals=0,
-            diagnostic="constant trace: parameters are not identifiable",
-        )
-    return None
-
-
-def _require_trace(data: TimeSeries) -> None:
-    """One population column per Zeeman state and at least two samples."""
+def _constant_trace(data: TimeSeries, delays: bool) -> FitResult | None:
+    """Check the trace: one population column per Zeeman state, at least two
+    samples, and, where ``delays`` (the Ramsey and echo models' domain), no
+    negative delay.  Returns the result of a constant trace, whose
+    parameters are not identifiable, or None for any other trace."""
     if data.populations.shape[1] != len(ZEEMAN_M):
         raise ValueError(f"populations: need {len(ZEEMAN_M)} columns, got {data.populations.shape[1]}")
     if data.n < 2:
         raise ValueError(f"data: need at least 2 samples to fit, got {data.n}")
-
-
-def _require_delays(data: TimeSeries) -> None:
-    """At least two samples, at delays >= 0: the Ramsey and echo models' domain."""
-    _require_trace(data)
-    if data.times[0] < 0:
+    if delays and data.times[0] < 0:
         raise ValueError(f"data: delays must be >= 0, got {data.times[0]:.6g} s")
+    if float(np.max(np.ptp(data.populations, axis=0))) >= 1e-9:
+        return None
+    diagnostic = "constant trace: parameters are not identifiable"
+    return FitResult(params={}, residual_rms=0.0, converged=False, n_evals=0, diagnostic=diagnostic)
 
 
 def rabi_model_curve(times: np.ndarray, omega: float, weights: np.ndarray) -> np.ndarray:
@@ -625,10 +614,8 @@ def rabi_model_curve(times: np.ndarray, omega: float, weights: np.ndarray) -> np
 
 def fit_rabi(data: TimeSeries, omega_guess: float | None = None) -> FitResult:
     """Fit (Omega, initial populations) to a five-level resonant Rabi trace."""
-    _require_trace(data)
-    degenerate = _check_degenerate(data)
-    if degenerate is not None:
-        return degenerate
+    if (constant := _constant_trace(data, delays=False)) is not None:
+        return constant
     t_ref = float(np.max(np.abs(data.times)))
     dt = float(data.times[-1] - data.times[0]) / (data.n - 1)
     lo, hi = _grid_bounds(2 * _RABI_ANGLE_FLOOR / t_ref, math.pi / (2 * dt), omega_guess)
@@ -702,32 +689,21 @@ def echo_model_curve(times, compound: float, weights: np.ndarray) -> np.ndarray:
     return _harmonic_basis(SequenceKind.ECHO, 0.0, compound * times**4) @ weights
 
 
-def fit_ramsey(data: TimeSeries, known: dict) -> FitResult:
+def fit_ramsey(data: TimeSeries, *, b0: float, sigma_z0: float, t_axial: float) -> FitResult:
     """Fit the gradient B1 and initial populations to a Ramsey trace.
 
-    ``known`` must provide b0 (T), sigma_z0 (m), and t_axial (K) of a
-    neon-20 ensemble.  times are tau1.  The model is the analytic ensemble
-    average, so B1 enters only through its square and the reported value is
-    non-negative.  Delays must be >= 0.
+    b0 (T), sigma_z0 (m) and t_axial (K) are those of the neon-20 ensemble;
+    times are tau1.  The model is the analytic ensemble average, so B1
+    enters only through its square and the reported value is non-negative.
+    Delays must be >= 0.
     """
-    _require_delays(data)
-    degenerate = _check_degenerate(data)
-    if degenerate is not None:
-        return degenerate
-    spec = EnsembleSpec(
-        sigma_z0=float(known["sigma_z0"]),
-        t_axial=float(known["t_axial"]),
-        n_samples=1,
-    )
-    cfg = FieldConfig(b0=float(known["b0"]), b1=1.0)
+    if (constant := _constant_trace(data, delays=True)) is not None:
+        return constant
+    spec = EnsembleSpec(sigma_z0=float(sigma_z0), t_axial=float(t_axial), n_samples=1)
+    cfg = FieldConfig(b0=float(b0), b1=1.0)
     # the carrier does not depend on B1 and the variance scales as B1^2
-    carrier, var_unit = _carrier_and_variance(
-        cfg,
-        spec,
-        SequenceKind.RAMSEY,
-        data.times,
-        np.zeros_like(data.times),
-    )
+    zero = np.zeros_like(data.times)
+    carrier, var_unit = _carrier_and_variance(cfg, spec, SequenceKind.RAMSEY, data.times, zero)
     spread_unit = math.sqrt(float(var_unit[-1]))
     if not spread_unit > 0:
         raise ValueError("data: the last delay must be positive to resolve B1")
@@ -743,23 +719,21 @@ def fit_ramsey(data: TimeSeries, known: dict) -> FitResult:
     )
 
 
-def fit_echo(data: TimeSeries, known: dict) -> FitResult:
+def fit_echo(data: TimeSeries, *, t_axial: float | None = None, b1: float | None = None) -> FitResult:
     """Fit the compound parameter c = (gamma B1)^2 k_B T_z / m to an echo
     trace taken at tau1 = tau2 (times are tau_tilde).
 
     The tau^4 envelope fixes only c; params always report "compound" (units
-    s^-4) and additionally b1 when known supplies t_axial, or t_axial when
-    known supplies b1; ``known`` must supply exactly one of the two, and m
-    is the neon-20 mass.  Every other key is ignored: B0 and sigma_z0 drop
-    out at tau1 = tau2.  Delays must be >= 0.
+    s^-4) and, from c, b1 (T/m) when t_axial (K) is given, or t_axial when
+    b1 is given.  Exactly one of the two must be given, and m is the neon-20
+    mass.  B0 and sigma_z0 drop out at tau1 = tau2, so the fit takes
+    neither.  Delays must be >= 0.
     """
-    if ("t_axial" in known) == ("b1" in known):
-        given = "both" if "b1" in known else "neither"
+    if (t_axial is None) == (b1 is None):
+        given = "neither" if b1 is None else "both"
         raise ValueError(f"t_axial, b1: exactly one of t_axial or b1 must be given, got {given}")
-    _require_delays(data)
-    degenerate = _check_degenerate(data)
-    if degenerate is not None:
-        return degenerate
+    if (constant := _constant_trace(data, delays=True)) is not None:
+        return constant
 
     t = data.times
     t_last = float(t[-1])  # > 0: at least two increasing delays, none negative
@@ -769,10 +743,8 @@ def fit_echo(data: TimeSeries, known: dict) -> FitResult:
     model = partial(echo_model_curve, t)
     result = _damped_fit(data, SequenceKind.ECHO, zero, lambda c: c[:, None] * t4, grid, "compound", model)
     compound = result.params["compound"]
-    if "t_axial" in known:
-        k_t = CONSTANTS.k_b * float(known["t_axial"])
-        result.params["b1"] = math.sqrt(compound * CONSTANTS.mass_ne20 / k_t) / CONSTANTS.gamma
+    if t_axial is not None:
+        result.params["b1"] = math.sqrt(compound * MASS_NE20 / (K_B * float(t_axial))) / GAMMA
     else:
-        gamma_b1 = CONSTANTS.gamma * float(known["b1"])
-        result.params["t_axial"] = compound * CONSTANTS.mass_ne20 / (CONSTANTS.k_b * gamma_b1**2)
+        result.params["t_axial"] = compound * MASS_NE20 / (K_B * (GAMMA * float(b1)) ** 2)
     return result

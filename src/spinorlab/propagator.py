@@ -55,7 +55,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    CONSTANTS,
+    GAMMA,
     Populations,
     SpinSystem,
     StateVector,
@@ -74,9 +74,9 @@ class FieldConfig:
     """Static and RF field settings, SI units.
 
     The resonance frequency is omega0 (rad/s) when given, otherwise it is
-    derived from b0 (T) through gamma = g_j mu_B / hbar.  b0 is never derived
-    from omega0, and when both are given omega0 wins, with no consistency
-    requirement between them.
+    derived from b0 (T) through ``core.GAMMA`` = g_J mu_B / hbar.  b0 is
+    never derived from omega0, and when both are given omega0 wins, with no
+    consistency requirement between them.
     """
 
     b0: float = 0.0  # bias field, T
@@ -97,12 +97,12 @@ class FieldConfig:
     def resonance(self) -> float:
         if self.omega0 is not None:
             return float(self.omega0)
-        return CONSTANTS.gamma * self.b0
+        return GAMMA * self.b0
 
     @property
     def gamma_b1(self) -> float:
         """Dephasing rate scale gamma * b1 in rad/(s m)."""
-        return CONSTANTS.gamma * self.b1
+        return GAMMA * self.b1
 
 
 class HamiltonianKind(Enum):

@@ -20,12 +20,11 @@ import pytest
 from scipy.stats import norm
 
 from spinorlab import ensemble
-from spinorlab.core import CONSTANTS, ZEEMAN_M, Populations, build_spin_system, zeeman_state
+from spinorlab.core import GAMMA, K_B, MASS_NE20, ZEEMAN_M, Populations, build_spin_system, zeeman_state
 from spinorlab.ensemble import (
     AverageMethod,
     EnsembleSpec,
     SequenceKind,
-    SequenceTiming,
     echo_envelope,
     ensemble_average,
     ensemble_average_curve,
@@ -229,7 +228,7 @@ def test_criterion_7_ramsey_dephasing():
     taus = np.linspace(1e-6, 1e-4, 200_001)
     env = ramsey_envelope(field, spec, taus)
     crossing = float(taus[np.argmin(np.abs(env - math.exp(-1)))]) * 1e6
-    gb1_khz_mm = CONSTANTS.gamma * field.b1 / (TWO_PI * 1e3) * 1e-3
+    gb1_khz_mm = GAMMA * field.b1 / (TWO_PI * 1e3) * 1e-3
     check(
         7,
         "Ramsey envelope crosses 1/e at 32.5 us with the implied gradient rate",
@@ -243,7 +242,7 @@ def test_criterion_8_echo_dephasing():
     spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3)
     env_95 = float(echo_envelope(field, spec, 95e-6, 95e-6))
     env_150 = float(echo_envelope(field, spec, 150e-6, 150e-6))
-    gb1_khz_mm = CONSTANTS.gamma * field.b1 / (TWO_PI * 1e3) * 1e-3
+    gb1_khz_mm = GAMMA * field.b1 / (TWO_PI * 1e3) * 1e-3
     check(
         8,
         "echo envelope at 190 us and 300 us total delay with the implied gradient",
@@ -252,14 +251,14 @@ def test_criterion_8_echo_dephasing():
     )
 
 
-def _empirical_se(field, spec, timing, n_probe=4000):
+def _empirical_se(field, spec, kind, tau1, tau2, n_probe=4000):
     # per-channel spread of the explicit product Dx_last Dz(phi) Dx_first |+2>
     # over an independent draw, all probes at once
     rng = np.random.default_rng(12345)
     z0 = rng.normal(0, spec.sigma_z0, n_probe)
     vz = rng.normal(0, spec.sigma_vz, n_probe)
-    phis = ensemble._phase(field, timing.kind, z0, vz, timing.tau1, timing.tau2)
-    dx_first, dx_last = ensemble._dx_pair(4, timing.kind)
+    phis = ensemble._phase(field, kind, z0, vz, tau1, tau2)
+    dx_first, dx_last = ensemble._dx_pair(4, kind)
     m = SYS2.m_values
     amps = (np.exp(-1j * np.multiply.outer(phis, m)) * (dx_first @ PLUS2.amplitudes)) @ dx_last.T
     samples = np.abs(amps) ** 2
@@ -279,14 +278,10 @@ def test_criterion_9_monte_carlo_vs_analytic():
     n_comparisons = 0
     for field, kind in scenarios:
         for tau in taus:
-            timing = (
-                SequenceTiming(kind, tau)
-                if kind is SequenceKind.RAMSEY
-                else SequenceTiming(kind, tau, tau)
-            )
-            analytic = ensemble_average(field, spec, timing, PLUS2).p
-            mc = ensemble_average(field, spec, timing, PLUS2, AverageMethod.MONTE_CARLO).p
-            se = _empirical_se(field, spec, timing)
+            timing = (kind, tau, 0.0 if kind is SequenceKind.RAMSEY else tau)
+            analytic = ensemble_average(field, spec, *timing, PLUS2).p
+            mc = ensemble_average(field, spec, *timing, PLUS2, AverageMethod.MONTE_CARLO).p
+            se = _empirical_se(field, spec, *timing)
             pulls = np.abs(mc - analytic) / np.maximum(se, 1e-12)
             pulls[np.abs(mc - analytic) < 1e-12] = 0.0
             worst_sigma = max(worst_sigma, float(pulls.max()))
@@ -298,10 +293,10 @@ def test_criterion_9_monte_carlo_vs_analytic():
     threshold = float(norm.isf(-0.5 * math.expm1(math.log1p(-family_alpha) / n_comparisons)))
     ok = worst_sigma <= threshold
     # determinism: a repeated run gives identical bits
-    timing = SequenceTiming(SequenceKind.RAMSEY, 25e-6)
+    timing = (SequenceKind.RAMSEY, 25e-6, 0.0)
     field = scenarios[0][0]
-    base = ensemble_average(field, spec, timing, PLUS2, AverageMethod.MONTE_CARLO).p
-    again = ensemble_average(field, spec, timing, PLUS2, AverageMethod.MONTE_CARLO).p
+    base = ensemble_average(field, spec, *timing, PLUS2, AverageMethod.MONTE_CARLO).p
+    again = ensemble_average(field, spec, *timing, PLUS2, AverageMethod.MONTE_CARLO).p
     deterministic = np.array_equal(base, again)
     elapsed = time.perf_counter() - start
     check(
@@ -317,14 +312,14 @@ def test_criterion_10_equilibrium_populations():
     field = FieldConfig(b0=179e-7, b1=4.5 * MG_PER_MM)
     spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=100_000, seed=8)
     expected = equilibrium_populations(SYS2).p
-    timing = SequenceTiming(SequenceKind.RAMSEY, 500e-6)
+    timing = (SequenceKind.RAMSEY, 500e-6, 0.0)
     dev_analytic = float(
-        np.max(np.abs(ensemble_average(field, spec, timing, PLUS2).p - expected))
+        np.max(np.abs(ensemble_average(field, spec, *timing, PLUS2).p - expected))
     )
     dev_mc = float(
         np.max(
             np.abs(
-                ensemble_average(field, spec, timing, PLUS2, AverageMethod.MONTE_CARLO).p
+                ensemble_average(field, spec, *timing, PLUS2, AverageMethod.MONTE_CARLO).p
                 - expected
             )
         )
@@ -359,11 +354,11 @@ def test_criterion_11_fit_round_trips():
     tau1 = np.linspace(0.0, 60e-6, 80)
     curve = ensemble_average_curve(field, spec, SequenceKind.RAMSEY, tau1)
     known = {"b0": 179e-7, "sigma_z0": 0.73e-3, "t_axial": 0.2e-3}
-    res_ramsey = fit_ramsey(TimeSeries(times=tau1, populations=curve), known)
+    res_ramsey = fit_ramsey(TimeSeries(times=tau1, populations=curve), **known)
     ok_ramsey = abs(res_ramsey.params["b1"] - 4.5 * MG_PER_MM) / (4.5 * MG_PER_MM) < 0.005
     noisy = np.clip(curve + rng.normal(0, 0.02, curve.shape), 0, 1)
     noisy /= noisy.sum(axis=1, keepdims=True)
-    res_ramsey_noisy = fit_ramsey(TimeSeries(times=tau1, populations=noisy), known)
+    res_ramsey_noisy = fit_ramsey(TimeSeries(times=tau1, populations=noisy), **known)
     ok_ramsey_noisy = (
         abs(res_ramsey_noisy.params["b1"] - 4.5 * MG_PER_MM) / (4.5 * MG_PER_MM) < 0.05
     )
@@ -373,19 +368,15 @@ def test_criterion_11_fit_round_trips():
     spec_e = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=1)
     tau = np.linspace(1e-6, 220e-6, 60)
     curve_e = ensemble_average_curve(field_e, spec_e, SequenceKind.ECHO, tau, tau)
-    res_echo = fit_echo(
-        TimeSeries(times=tau, populations=curve_e), {"sigma_z0": 0.73e-3, "t_axial": 0.2e-3}
-    )
-    truth = (CONSTANTS.gamma * 13.5 * MG_PER_MM) ** 2 * CONSTANTS.k_b * 0.2e-3 / CONSTANTS.mass_ne20
+    res_echo = fit_echo(TimeSeries(times=tau, populations=curve_e), t_axial=0.2e-3)
+    truth = (GAMMA * 13.5 * MG_PER_MM) ** 2 * K_B * 0.2e-3 / MASS_NE20
     ok_echo = (
         abs(res_echo.params["compound"] - truth) / truth < 0.005
         and abs(res_echo.params["b1"] - 13.5 * MG_PER_MM) / (13.5 * MG_PER_MM) < 0.005
     )
     noisy_e = np.clip(curve_e + rng.normal(0, 0.02, curve_e.shape), 0, 1)
     noisy_e /= noisy_e.sum(axis=1, keepdims=True)
-    res_echo_noisy = fit_echo(
-        TimeSeries(times=tau, populations=noisy_e), {"sigma_z0": 0.73e-3, "t_axial": 0.2e-3}
-    )
+    res_echo_noisy = fit_echo(TimeSeries(times=tau, populations=noisy_e), t_axial=0.2e-3)
     ok_echo_noisy = (
         abs(res_echo_noisy.params["b1"] - 13.5 * MG_PER_MM) / (13.5 * MG_PER_MM) < 0.05
     )

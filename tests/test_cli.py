@@ -468,11 +468,34 @@ def test_bad_data_file_names_data(tmp_path, capsys, scenario, rows, message):
         # integers beyond the float range are config errors, not numerical failures
         ("scenario: fstirap-scan\neta_max: " + "1" * 400 + "\n" + STIRAP_PULSES, "eta_max"),
         (RABI_CONFIG.replace("p0_plus2: 0.97", "p0_plus2: " + "9" * 400), "p0_plus2"),
+        # counts beyond sys.maxsize are no array size; the parser rejects them
+        (RABI_CONFIG.replace("points: 300", "points: " + "1" * 400), "points"),
+        ("scenario: ramsey\ntau_max: 40 us\nmethod: montecarlo\nsamples: " + "1" * 400 + "\n" + ENSEMBLE, "samples"),
+        # beyond Python's digit limit for int(), which PyYAML raises as a ValueError
+        ("scenario: fstirap-scan\neta_max: " + "1" * 5000 + "\n" + STIRAP_PULSES, "config"),
+        ("scenario: stirap\neta: abc\n" + STIRAP_PULSES, "eta"),
+        (None, "config"),  # no config file at all
     ],
-    ids=["p0-sum", "omega0", "method", "data", "invalid-yaml", "list", "no-scenario", "huge-eta", "huge-p0"],
+    ids=[
+        "p0-sum",
+        "omega0",
+        "method",
+        "data",
+        "invalid-yaml",
+        "list",
+        "no-scenario",
+        "huge-eta",
+        "huge-p0",
+        "huge-points",
+        "huge-samples",
+        "digit-limit",
+        "not-a-number",
+        "missing-file",
+    ],
 )
 def test_bad_config_exits_one_naming_its_key(tmp_path, capsys, text, key):
-    cfg, out = write_config(tmp_path, "bad.yaml", text), tmp_path / "x.csv"
+    cfg = str(tmp_path / "bad.yaml") if text is None else write_config(tmp_path, "bad.yaml", text)
+    out = tmp_path / "x.csv"
     assert run_cli(["run", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
     assert not out.exists()

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinorlab.core import (
-    CONSTANTS,
-    PhysicalConstants,
+    GAMMA,
     Populations,
     StateVector,
     build_spin_system,
@@ -105,13 +104,8 @@ def test_populations_of_normalize_is_idempotent(pairs):
 
 def test_gyromagnetic_ratio_value():
     # g_j = 3/2 puts gamma at 2*pi x 2.0994 MHz/G
-    mhz_per_gauss = CONSTANTS.gamma * 1e-4 / (2 * math.pi * 1e6)
+    mhz_per_gauss = GAMMA * 1e-4 / (2 * math.pi * 1e6)
     assert mhz_per_gauss == pytest.approx(2.0994, abs=2e-4)
-
-
-def test_constants_must_be_positive():
-    with pytest.raises(ValueError):
-        PhysicalConstants(g_j=0)
 
 
 def test_populations_clamp_and_sum():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from oracles import single_atom_sequence
 from spinorlab import ensemble
 from spinorlab.core import (
-    CONSTANTS,
+    GAMMA,
+    K_B,
+    MASS_NE20,
     ZEEMAN_M,
     Populations,
     StateVector,
@@ -19,7 +21,6 @@ from spinorlab.ensemble import (
     AverageMethod,
     EnsembleSpec,
     SequenceKind,
-    SequenceTiming,
     echo_envelope,
     ensemble_average,
     ensemble_average_curve,
@@ -51,14 +52,14 @@ def echo_phase(field, z0, vz, tau1, tau2):
 def test_phase_without_gradient_is_carrier_only():
     field = FieldConfig(b0=0.5e-4, b1=0.0)
     phi = ramsey_phase(field, z0=1e-3, vz=2.0, tau1=20e-6)
-    assert phi == pytest.approx(CONSTANTS.gamma * 0.5e-4 * 20e-6, rel=1e-12)
+    assert phi == pytest.approx(GAMMA * 0.5e-4 * 20e-6, rel=1e-12)
 
 
 def test_phase_gradient_value():
     # gamma*B1*z0*tau1 for B1 = 4.5 mG/mm, z0 = 0.73 mm, tau1 = 32.5 us
     field = FieldConfig(b0=0.0, b1=4.5 * MG_PER_MM)
     phi = ramsey_phase(field, z0=0.73e-3, vz=0.0, tau1=32.5e-6)
-    oracle = CONSTANTS.gamma * (4.5 * MG_PER_MM) * 0.73e-3 * 32.5e-6
+    oracle = GAMMA * (4.5 * MG_PER_MM) * 0.73e-3 * 32.5e-6
     assert phi == pytest.approx(oracle, rel=1e-12)
     assert phi == pytest.approx(1.4083, abs=2e-4)
     # and within 1% of the value implied by the rounded 2*pi x 9.5 kHz/mm
@@ -71,7 +72,7 @@ def test_phase_velocity_term_is_quadratic(z0, vz, tau):
     field = RAMSEY_FIELD
     doubled = ramsey_phase(field, z0, vz, 2 * tau)
     single = ramsey_phase(field, z0, vz, tau)
-    expected = CONSTANTS.gamma * field.b1 * vz * tau**2
+    expected = GAMMA * field.b1 * vz * tau**2
     base = max(abs(doubled), abs(single), 1.0)
     assert doubled - 2 * single == pytest.approx(expected, rel=1e-9, abs=1e-9 * base)
 
@@ -81,10 +82,10 @@ def test_echo_phase_special_cases():
     assert echo_phase(field, z0=1e-3, vz=0.0, tau1=40e-6, tau2=40e-6) == pytest.approx(0.0, abs=1e-15)
     # tau1 = tau2 = tau: phi = -gamma*B1*vz*tau^2
     phi = echo_phase(field, z0=5e-4, vz=0.3, tau1=50e-6, tau2=50e-6)
-    assert phi == pytest.approx(-CONSTANTS.gamma * field.b1 * 0.3 * (50e-6) ** 2, rel=1e-12)
+    assert phi == pytest.approx(-GAMMA * field.b1 * 0.3 * (50e-6) ** 2, rel=1e-12)
     field0 = FieldConfig(b0=0.3e-4, b1=0.0)
     phi = echo_phase(field0, z0=1.0, vz=1.0, tau1=10e-6, tau2=25e-6)
-    assert phi == pytest.approx(-CONSTANTS.gamma * 0.3e-4 * 15e-6, rel=1e-12)
+    assert phi == pytest.approx(-GAMMA * 0.3e-4 * 15e-6, rel=1e-12)
 
 
 def test_ramsey_sequence_phase_landmarks():
@@ -152,7 +153,7 @@ def test_echo_envelope_reduces_to_quartic_law():
     field = ECHO_FIELD
     for tau in (20e-6, 80e-6, 140e-6):
         direct = echo_envelope(field, THERMAL, tau, tau)
-        var_rate = (CONSTANTS.gamma * field.b1) ** 2 * CONSTANTS.k_b * THERMAL.t_axial / CONSTANTS.mass_ne20
+        var_rate = (GAMMA * field.b1) ** 2 * K_B * THERMAL.t_axial / MASS_NE20
         assert direct == pytest.approx(math.exp(-0.5 * var_rate * tau**4), rel=1e-12)
 
 
@@ -160,20 +161,20 @@ def test_echo_rephases_static_dephasing_completely():
     # T -> 0 limit: any position spread is refocused at tau1 = tau2
     cold = EnsembleSpec(sigma_z0=2e-3, t_axial=1e-12, n_samples=3000, seed=4)
     field = FieldConfig(b0=0.2e-4, b1=20 * MG_PER_MM)
-    timing = SequenceTiming(SequenceKind.ECHO, 80e-6, 80e-6)
     for method in AverageMethod:
-        p = ensemble_average(field, cold, timing, PLUS2, method)
+        p = ensemble_average(field, cold, SequenceKind.ECHO, 80e-6, 80e-6, PLUS2, method)
         assert p[0] == pytest.approx(1.0, abs=1e-6), method
 
 
 def test_sequence_timing_validation(monkeypatch):
-    with pytest.raises(ValueError):
-        SequenceTiming(SequenceKind.RAMSEY, -1e-6)
+    with pytest.raises(ValueError, match="^tau1 must be >= 0"):
+        ensemble_average(RAMSEY_FIELD, THERMAL, SequenceKind.RAMSEY, -1e-6)
     for kind in SequenceKind:
         with pytest.raises(ValueError, match="^tau1 must be finite"):
-            SequenceTiming(kind, math.nan)
+            ensemble_average(RAMSEY_FIELD, THERMAL, kind, math.nan)
+        # tau2 is checked for Ramsey too, which reads none
         with pytest.raises(ValueError, match="^tau2 must be finite"):
-            SequenceTiming(kind, 1e-6, math.inf)
+            ensemble_average(RAMSEY_FIELD, THERMAL, kind, 1e-6, math.inf)
     with pytest.raises(ValueError, match="^tau2"):
         ensemble_average_curve(ECHO_FIELD, THERMAL, SequenceKind.ECHO, 25e-6)
     with pytest.raises(ValueError):
@@ -206,7 +207,7 @@ def test_phase_matches_written_out_phases():
     rng = np.random.default_rng(21)
     z0, vz = rng.normal(0, 1e-3, 50), rng.normal(0, 0.5, 50)
     tau1, tau2 = rng.uniform(0, 3e-4, (2, 50))
-    g, b0, gb1 = CONSTANTS.gamma, ECHO_FIELD.b0, ECHO_FIELD.gamma_b1
+    g, b0, gb1 = GAMMA, ECHO_FIELD.b0, ECHO_FIELD.gamma_b1
     ramsey = g * b0 * tau1 + gb1 * (z0 * tau1 + vz * tau1**2 / 2)
     dtau = tau2 - tau1
     echo = -g * b0 * dtau - gb1 * z0 * dtau + gb1 * vz * (dtau**2 - 2 * tau2**2) / 2
@@ -244,25 +245,21 @@ def test_monte_carlo_matches_analytic(field, kind):
     spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=40_000, seed=11)
     times = np.array([5e-6, 10e-6, 20e-6, 35e-6, 60e-6])
     for tau in times:
-        timing = (
-            SequenceTiming(kind, tau)
-            if kind is SequenceKind.RAMSEY
-            else SequenceTiming(kind, tau, 1.5 * tau)
-        )
-        analytic = ensemble_average(field, spec, timing, PLUS2, AverageMethod.ANALYTIC).p
-        mc = ensemble_average(field, spec, timing, PLUS2, AverageMethod.MONTE_CARLO).p
-        se = _standard_error(field, spec, timing)
+        tau2 = 0.0 if kind is SequenceKind.RAMSEY else 1.5 * tau
+        analytic = ensemble_average(field, spec, kind, tau, tau2, PLUS2, AverageMethod.ANALYTIC).p
+        mc = ensemble_average(field, spec, kind, tau, tau2, PLUS2, AverageMethod.MONTE_CARLO).p
+        se = _standard_error(field, spec, kind, tau, tau2)
         assert np.all(np.abs(mc - analytic) <= 3 * se + 1e-12), (kind, tau)
 
 
-def _standard_error(field, spec, timing) -> np.ndarray:
+def _standard_error(field, spec, kind, tau1, tau2) -> np.ndarray:
     # empirical per-channel standard error from an independent draw, by the
     # explicit product Dx_last Dz(phi) Dx_first over all probes at once
     rng = np.random.default_rng(999)
     z0 = rng.normal(0, spec.sigma_z0, 4000)
     vz = rng.normal(0, spec.sigma_vz, 4000)
-    phis = ensemble._phase(field, timing.kind, z0, vz, timing.tau1, timing.tau2)
-    dx_first, dx_last = ensemble._dx_pair(4, timing.kind)
+    phis = ensemble._phase(field, kind, z0, vz, tau1, tau2)
+    dx_first, dx_last = ensemble._dx_pair(4, kind)
     m = build_spin_system(2).m_values
     amps = (np.exp(-1j * np.multiply.outer(phis, m)) * (dx_first @ PLUS2.amplitudes)) @ dx_last.T
     samples = np.abs(amps) ** 2
@@ -272,33 +269,26 @@ def _standard_error(field, spec, timing) -> np.ndarray:
 
 def test_monte_carlo_is_deterministic():
     spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=50_000, seed=3)
-    timing = SequenceTiming(SequenceKind.RAMSEY, 25e-6)
-    first = ensemble_average(RAMSEY_FIELD, spec, timing, PLUS2, AverageMethod.MONTE_CARLO).p
-    second = ensemble_average(RAMSEY_FIELD, spec, timing, PLUS2, AverageMethod.MONTE_CARLO).p
+    timing = (SequenceKind.RAMSEY, 25e-6, 0.0, PLUS2, AverageMethod.MONTE_CARLO)
+    first = ensemble_average(RAMSEY_FIELD, spec, *timing).p
+    second = ensemble_average(RAMSEY_FIELD, spec, *timing).p
     assert np.array_equal(first, second)
 
 
 def test_monte_carlo_small_sample_warns():
     spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=50, seed=1)
     with pytest.warns(UserWarning, match="high-variance"):
-        ensemble_average(
-            RAMSEY_FIELD, spec, SequenceTiming(SequenceKind.RAMSEY, 5e-6), PLUS2,
-            AverageMethod.MONTE_CARLO,
-        )
+        ensemble_average(RAMSEY_FIELD, spec, SequenceKind.RAMSEY, 5e-6, method=AverageMethod.MONTE_CARLO)
 
 
 def test_long_time_ramsey_reaches_equilibrium():
-    p = ensemble_average(
-        RAMSEY_FIELD, THERMAL, SequenceTiming(SequenceKind.RAMSEY, 400e-6), PLUS2
-    )
+    p = ensemble_average(RAMSEY_FIELD, THERMAL, SequenceKind.RAMSEY, 400e-6, initial=PLUS2)
     expected = equilibrium_populations(build_spin_system(2)).p
     assert np.max(np.abs(p.p - expected)) < 1e-6
 
 
 def test_zero_delay_ramsey_is_a_pi_pulse():
-    p = ensemble_average(
-        RAMSEY_FIELD, THERMAL, SequenceTiming(SequenceKind.RAMSEY, 0.0), PLUS2
-    )
+    p = ensemble_average(RAMSEY_FIELD, THERMAL, SequenceKind.RAMSEY, 0.0, initial=PLUS2)
     assert p[4] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -306,7 +296,7 @@ def test_ramsey_signal_contains_four_harmonics_only():
     # without damping the analytic signal is a trig polynomial in
     # gamma*B0*tau1 with coherence orders 1..4
     f0 = 50e3
-    field = FieldConfig(b0=TWO_PI * f0 / CONSTANTS.gamma, b1=0.0)
+    field = FieldConfig(b0=TWO_PI * f0 / GAMMA, b1=0.0)
     n = 64
     tau = np.arange(n) / (n * f0)
     curve = ensemble_average_curve(
@@ -375,10 +365,8 @@ def test_analytic_mixture_equals_per_state_sum(kind):
 
     mixed = curve(Populations(weights))
     np.testing.assert_allclose(mixed, per_state_sum(weights, curve), rtol=0, atol=1e-14)
-    timing = SequenceTiming(kind, 30e-6, 40e-6)
-
     def single(initial):
-        return ensemble_average(ECHO_FIELD, THERMAL, timing, initial).p
+        return ensemble_average(ECHO_FIELD, THERMAL, kind, 30e-6, 40e-6, initial).p
 
     np.testing.assert_allclose(
         single(Populations(weights)), per_state_sum(weights, single), rtol=0, atol=1e-14
@@ -516,9 +504,7 @@ def test_monte_carlo_curve_equals_per_timing_averages(kind):
         ECHO_FIELD, spec, kind, tau1, tau2, initial, AverageMethod.MONTE_CARLO
     )
     for row, a, b in zip(curve, tau1, tau2):
-        single = ensemble_average(
-            ECHO_FIELD, spec, SequenceTiming(kind, a, b), initial, AverageMethod.MONTE_CARLO
-        )
+        single = ensemble_average(ECHO_FIELD, spec, kind, a, b, initial, AverageMethod.MONTE_CARLO)
         assert np.array_equal(row, single.p)
 
 
@@ -527,7 +513,7 @@ def test_monte_carlo_curve_equals_per_timing_averages(kind):
 def test_resonance_given_as_omega0_sets_the_carrier(kind, method):
     # the carrier is FieldConfig.resonance, so omega0 = gamma b0 stands for b0
     b1 = 4.5 * MG_PER_MM
-    fields = (FieldConfig(b0=179e-7, b1=b1), FieldConfig(omega0=CONSTANTS.gamma * 179e-7, b1=b1))
+    fields = (FieldConfig(b0=179e-7, b1=b1), FieldConfig(omega0=GAMMA * 179e-7, b1=b1))
     spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=5000, seed=3)
     tau1 = np.linspace(0.0, 60e-6, 7)
     tau2 = 1.5 * tau1 if kind is SequenceKind.ECHO else None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinorlab import cli, fit
-from spinorlab.core import CONSTANTS, ZEEMAN_M, Populations, build_spin_system
+from spinorlab.core import GAMMA, K_B, MASS_NE20, ZEEMAN_M, Populations, build_spin_system
 from spinorlab.ensemble import EnsembleSpec, SequenceKind, ensemble_average_curve
 from spinorlab.fit import (
     TimeSeries,
@@ -134,14 +134,14 @@ RAMSEY_KNOWN = {"b0": 179e-7, "sigma_z0": 0.73e-3, "t_axial": 0.2e-3}
 
 def test_ramsey_roundtrip():
     data = synthetic_ramsey(4.5)
-    result = fit_ramsey(data, RAMSEY_KNOWN)
+    result = fit_ramsey(data, **RAMSEY_KNOWN)
     assert result.converged
     assert result.params["b1"] == pytest.approx(4.5 * MG_PER_MM, rel=0.02)
     assert result.params["p_plus2_0"] == pytest.approx(1.0, abs=0.005)
     # recovered 1/e decay time of the envelope
-    gb1 = CONSTANTS.gamma * result.params["b1"]
+    gb1 = GAMMA * result.params["b1"]
     sigma = RAMSEY_KNOWN["sigma_z0"]
-    sigv2 = CONSTANTS.k_b * RAMSEY_KNOWN["t_axial"] / CONSTANTS.mass_ne20
+    sigv2 = K_B * RAMSEY_KNOWN["t_axial"] / MASS_NE20
     t = np.linspace(1e-6, 1e-4, 20000)
     env = np.exp(-0.5 * (gb1 * sigma * t) ** 2 - 0.125 * gb1**2 * sigv2 * t**4)
     t_e = t[np.argmin(np.abs(env - math.exp(-1)))]
@@ -150,14 +150,14 @@ def test_ramsey_roundtrip():
 
 def test_ramsey_null_gradient():
     data = synthetic_ramsey(0.0)
-    result = fit_ramsey(data, RAMSEY_KNOWN)
+    result = fit_ramsey(data, **RAMSEY_KNOWN)
     assert result.params["b1"] < 0.05 * MG_PER_MM
 
 
 def test_ramsey_null_gradient_reports_grid_floor():
-    result = fit_ramsey(synthetic_ramsey(0.0), RAMSEY_KNOWN)
+    result = fit_ramsey(synthetic_ramsey(0.0), **RAMSEY_KNOWN)
     assert "lower grid bound" in result.diagnostic
-    assert fit_ramsey(synthetic_ramsey(4.5), RAMSEY_KNOWN).diagnostic is None
+    assert fit_ramsey(synthetic_ramsey(4.5), **RAMSEY_KNOWN).diagnostic is None
 
 
 def test_ramsey_rejects_negative_delay():
@@ -165,7 +165,7 @@ def test_ramsey_rejects_negative_delay():
     data = synthetic_ramsey(4.5)
     shifted = TimeSeries(times=data.times - data.times[1], populations=data.populations)
     with pytest.raises(ValueError, match="^data: delays must be >= 0"):
-        fit_ramsey(shifted, RAMSEY_KNOWN)
+        fit_ramsey(shifted, **RAMSEY_KNOWN)
 
 
 def synthetic_echo(b1_mg_mm: float, t_axial: float, n=60, t_max=220e-6):
@@ -178,10 +178,10 @@ def synthetic_echo(b1_mg_mm: float, t_axial: float, n=60, t_max=220e-6):
 
 def test_echo_roundtrip_with_known_temperature():
     data = synthetic_echo(13.5, 0.2e-3)
-    result = fit_echo(data, {"sigma_z0": 0.73e-3, "t_axial": 0.2e-3})
+    result = fit_echo(data, t_axial=0.2e-3)
     assert result.converged
     assert result.params["b1"] == pytest.approx(13.5 * MG_PER_MM, rel=0.05)
-    truth = (CONSTANTS.gamma * 13.5 * MG_PER_MM) ** 2 * CONSTANTS.k_b * 0.2e-3 / CONSTANTS.mass_ne20
+    truth = (GAMMA * 13.5 * MG_PER_MM) ** 2 * K_B * 0.2e-3 / MASS_NE20
     assert result.params["compound"] == pytest.approx(truth, rel=0.01)
     # envelope implied by the fit at tau_tilde = 95 us
     env = math.exp(-0.5 * result.params["compound"] * (95e-6) ** 4)
@@ -190,14 +190,14 @@ def test_echo_roundtrip_with_known_temperature():
 
 def test_echo_roundtrip_with_known_gradient():
     data = synthetic_echo(13.5, 0.2e-3)
-    result = fit_echo(data, {"sigma_z0": 0.73e-3, "b1": 13.5 * MG_PER_MM})
+    result = fit_echo(data, b1=13.5 * MG_PER_MM)
     assert result.converged
     assert result.params["t_axial"] == pytest.approx(0.2e-3, rel=0.05)
 
 
 def test_echo_model_curve_matches_ensemble_average():
     data = synthetic_echo(13.5, 0.2e-3)
-    compound = (CONSTANTS.gamma * 13.5 * MG_PER_MM) ** 2 * CONSTANTS.k_b * 0.2e-3 / CONSTANTS.mass_ne20
+    compound = (GAMMA * 13.5 * MG_PER_MM) ** 2 * K_B * 0.2e-3 / MASS_NE20
     curve = echo_model_curve(data.times, compound, np.array([1.0, 0, 0, 0, 0]))
     np.testing.assert_allclose(curve, data.populations, atol=1e-12)
 
@@ -205,10 +205,25 @@ def test_echo_model_curve_matches_ensemble_average():
 def test_echo_requires_one_anchor():
     data = synthetic_echo(13.5, 0.2e-3, n=10)
     with pytest.raises(ValueError):
-        fit_echo(data, {"sigma_z0": 0.73e-3})
+        fit_echo(data)
     # both anchors would report a b1 and a t_axial that disagree with them
     with pytest.raises(ValueError, match="exactly one of t_axial or b1"):
-        fit_echo(data, {"sigma_z0": 0.73e-3, "t_axial": 0.2e-3, "b1": 1 * MG_PER_MM})
+        fit_echo(data, t_axial=0.2e-3, b1=1 * MG_PER_MM)
+
+
+@pytest.mark.parametrize(
+    "fitter, kwargs, misspelt",
+    [
+        (fit_echo, {"b1": 13.5 * MG_PER_MM, "t_axail": 0.2e-3}, "t_axail"),
+        (fit_ramsey, {**RAMSEY_KNOWN, "sigma_z": 0.73e-3}, "sigma_z"),
+    ],
+    ids=["echo", "ramsey"],
+)
+def test_a_misspelt_parameter_is_a_type_error(fitter, kwargs, misspelt):
+    """The fitters take keyword parameters, so a misspelt one fails the call
+    and is named, instead of being ignored."""
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{misspelt}'"):
+        fitter(synthetic_echo(13.5, 0.2e-3, n=10), **kwargs)
 
 
 def test_echo_rejects_negative_delay():
@@ -216,24 +231,22 @@ def test_echo_rejects_negative_delay():
     data = synthetic_echo(13.5, 0.2e-3)
     shifted = TimeSeries(times=data.times - 100e-6, populations=data.populations)
     with pytest.raises(ValueError, match="^data: delays must be >= 0"):
-        fit_echo(shifted, {"sigma_z0": 0.73e-3, "t_axial": 0.2e-3})
+        fit_echo(shifted, t_axial=0.2e-3)
 
 
 def test_echo_cold_limit_not_identifiable():
     # T -> 0: no decay, constant trace
     times = np.linspace(1e-6, 2e-4, 30)
     pops = np.tile([1.0, 0, 0, 0, 0], (30, 1))
-    result = fit_echo(
-        TimeSeries(times=times, populations=pops), {"sigma_z0": 0.73e-3, "t_axial": 1e-9}
-    )
+    result = fit_echo(TimeSeries(times=times, populations=pops), t_axial=1e-9)
     assert not result.converged
     assert "identifiable" in result.diagnostic
 
 
 _FITTERS = {
     "rabi": fit_rabi,
-    "ramsey": lambda data: fit_ramsey(data, RAMSEY_KNOWN),
-    "echo": lambda data: fit_echo(data, {"t_axial": 0.2e-3}),
+    "ramsey": lambda data: fit_ramsey(data, **RAMSEY_KNOWN),
+    "echo": lambda data: fit_echo(data, t_axial=0.2e-3),
 }
 
 
@@ -269,11 +282,11 @@ def _add_noise(data: TimeSeries, sigma: float, rng) -> TimeSeries:
 
 def test_noisy_recovery_ramsey_and_echo():
     rng = np.random.default_rng(7)
-    result = fit_ramsey(_add_noise(synthetic_ramsey(4.5), 0.02, rng), RAMSEY_KNOWN)
+    result = fit_ramsey(_add_noise(synthetic_ramsey(4.5), 0.02, rng), **RAMSEY_KNOWN)
     assert result.params["b1"] == pytest.approx(4.5 * MG_PER_MM, rel=0.05)
 
     noisy = _add_noise(synthetic_echo(13.5, 0.2e-3), 0.02, rng)
-    result = fit_echo(noisy, {"sigma_z0": 0.73e-3, "t_axial": 0.2e-3})
+    result = fit_echo(noisy, t_axial=0.2e-3)
     assert result.params["b1"] == pytest.approx(13.5 * MG_PER_MM, rel=0.05)
 
 
@@ -451,8 +464,8 @@ def test_refinement_converges_only_within_its_iteration_cap(monkeypatch):
     assert fit._brent(lambda u: (u - 0.0123) ** 2, -0.2, 0.3)[1] is False
 
 
-def _grid_statistics(monkeypatch, fitter, *args):
-    """Exact G and b of the grid that ``fitter(*args)`` searches."""
+def _grid_statistics(monkeypatch, fitter, *args, **kwargs):
+    """Exact G and b of the grid that ``fitter(*args, **kwargs)`` searches."""
     seen = []
     varpro = fit._varpro_fit
     monkeypatch.setattr(
@@ -460,7 +473,7 @@ def _grid_statistics(monkeypatch, fitter, *args):
         "_varpro_fit",
         lambda profile, grid, *rest: seen.append(profile.statistics(grid)) or varpro(profile, grid, *rest),
     )
-    fitter(*args)
+    fitter(*args, **kwargs)
     return seen[0]
 
 
@@ -483,9 +496,9 @@ def _screen_cases(monkeypatch):
     # 0.1 rad: the features are nearly constant, so F^T F is nearly rank 1
     yield gram[:17], b[:17]
     ramsey = _add_noise(synthetic_ramsey(4.5), 0.02, rng)
-    yield _grid_statistics(monkeypatch, fit_ramsey, ramsey, RAMSEY_KNOWN)
+    yield _grid_statistics(monkeypatch, fit_ramsey, ramsey, **RAMSEY_KNOWN)
     echo = _add_noise(synthetic_echo(13.5, 0.2e-3), 0.02, rng)
-    yield _grid_statistics(monkeypatch, fit_echo, echo, {"t_axial": 0.2e-3})
+    yield _grid_statistics(monkeypatch, fit_echo, echo, t_axial=0.2e-3)
     for rank in (1, 2, 3):  # random rank-deficient G: screening needs the bound's slack here
         x = rng.normal(size=(64, rank, 5))
         yield np.einsum("gri,grj->gij", x, x), rng.normal(size=(64, 5))

@@ -19,21 +19,21 @@ def test_public_names():
     )
     assert exported == [
         "AverageMethod",
-        "CONSTANTS",
         "EnsembleSpec",
         "FieldConfig",
         "FitResult",
+        "GAMMA",
         "HamiltonianKind",
         "HamiltonianSpec",
+        "K_B",
+        "MASS_NE20",
         "NonAdiabaticPulseWarning",
         "NumericalError",
         "PUMP_CG",
-        "PhysicalConstants",
         "Populations",
         "RotationAxis",
         "STOKES_CG",
         "SequenceKind",
-        "SequenceTiming",
         "SpinSystem",
         "StateVector",
         "StirapParams",
@@ -110,3 +110,31 @@ def test_no_module_imports_a_name_it_never_uses():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_private_name_is_read_in_the_package():
+    """Each private top-level name a module defines (dunders aside) is read
+    in the package, by name or as an attribute, so that a deletion leaves
+    no orphaned helper or constant behind."""
+    paths = Path(spinorlab.__file__).parent.glob("*.py")
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names if name.startswith("_") and not name.endswith("__")]
+    assert len(defined) > 50  # the walk found the helpers
+    assert [f"{module}: {name}" for module, name in defined if name not in read] == []

@@ -10,7 +10,6 @@ from scipy.integrate._ivp import dop853_coefficients
 from oracles import ladder_cg_table, rf_populations
 from spinorlab import propagator
 from spinorlab.core import (
-    CONSTANTS,
     ZEEMAN_M,
     Populations,
     build_spin_system,
@@ -156,6 +155,22 @@ def test_step_budget_overrun_names_the_budget_and_t(solve, monkeypatch):
     assert message, str(info.value)
     start = 0.0 if solve == "rf" else -4 * 0.55e-6
     assert start < float(message.group(1)) < start + 10e-6
+
+
+def test_step_below_what_t_resolves_names_the_step_and_t():
+    # the frequency jumps from 1 to 1e12 rad/s at t = 0.5 s: no step across
+    # the jump passes the error test, and the rejected steps shrink below
+    # ten ulps of t, which the accepted steps leave just below 0.5
+    def generators(times, h):
+        omega = np.where(np.atleast_1d(times) < 0.5, 1.0, 1e12)
+        return (-1j * h * omega)[:, None, None, None]
+
+    with pytest.raises(NumericalError) as info:
+        propagator._dop853(generators, np.ones((1, 1, 1), complex), 0.0, [1.0])
+    message = re.fullmatch(r"integration failed: step below (\S+) s at t = (\S+) s", str(info.value))
+    assert message, str(info.value)
+    assert float(message.group(1)) == pytest.approx(10 * math.ulp(0.49), rel=1e-2)
+    assert float(message.group(2)) == pytest.approx(0.5, abs=1e-9)
 
 
 @pytest.mark.parametrize("solve", ["rf", "stirap"])
