@@ -725,13 +725,16 @@ def fit_echo(data: TimeSeries, *, t_axial: float | None = None, b1: float | None
 
     The tau^4 envelope fixes only c; params always report "compound" (units
     s^-4) and, from c, b1 (T/m) when t_axial (K) is given, or t_axial when
-    b1 is given.  Exactly one of the two must be given, and m is the neon-20
-    mass.  B0 and sigma_z0 drop out at tau1 = tau2, so the fit takes
-    neither.  Delays must be >= 0.
+    b1 is given.  Exactly one of the two must be given, positive and finite,
+    and m is the neon-20 mass.  B0 and sigma_z0 drop out at tau1 = tau2, so
+    the fit takes neither.  Delays must be >= 0.
     """
     if (t_axial is None) == (b1 is None):
         given = "neither" if b1 is None else "both"
         raise ValueError(f"t_axial, b1: exactly one of t_axial or b1 must be given, got {given}")
+    for name, anchor in (("t_axial", t_axial), ("b1", b1)):
+        if anchor is not None and not (anchor > 0 and math.isfinite(anchor)):
+            raise ValueError(f"{name}: must be positive and finite, got {anchor!r}")
     if (constant := _constant_trace(data, delays=True)) is not None:
         return constant
 

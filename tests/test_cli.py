@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinorlab import cli, fit, propagator, stirap
+from spinorlab import cli, ensemble, fit, propagator, stirap
 from spinorlab.stirap import fstirap_populations_closed
 
 TWO_PI = 2 * math.pi
@@ -474,6 +474,10 @@ def test_bad_data_file_names_data(tmp_path, capsys, scenario, rows, message):
         # beyond Python's digit limit for int(), which PyYAML raises as a ValueError
         ("scenario: fstirap-scan\neta_max: " + "1" * 5000 + "\n" + STIRAP_PULSES, "config"),
         ("scenario: stirap\neta: abc\n" + STIRAP_PULSES, "eta"),
+        # fit-echo's anchor divides the fitted compound, so it must be positive
+        (f"scenario: fit-echo\ndata: {DATA / 'fit-input-echo.csv'}\nt_axial: 0 mK\n", "t_axial"),
+        (f"scenario: fit-echo\ndata: {DATA / 'fit-input-echo.csv'}\nb1: 0 mG/mm\n", "b1"),
+        (f"scenario: fit-echo\ndata: {DATA / 'fit-input-echo.csv'}\nt_axial: -0.2 mK\n", "t_axial"),
         (None, "config"),  # no config file at all
     ],
     ids=[
@@ -490,6 +494,9 @@ def test_bad_data_file_names_data(tmp_path, capsys, scenario, rows, message):
         "huge-samples",
         "digit-limit",
         "not-a-number",
+        "zero-t-axial",
+        "zero-b1",
+        "negative-t-axial",
         "missing-file",
     ],
 )
@@ -499,6 +506,34 @@ def test_bad_config_exits_one_naming_its_key(tmp_path, capsys, text, key):
     assert run_cli(["run", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("points", [20, 70])
+@pytest.mark.parametrize(
+    "timing",
+    [
+        "scenario: ramsey\ntau_max: 40 us\n",
+        "scenario: echo\ntau1: 50 us\ntau2_max: 100 us\n",
+        "scenario: echo-scan\ntau_sum_max: 300 us\n",
+    ],
+    ids=["ramsey", "echo", "echo-scan"],
+)
+def test_monte_carlo_grids_take_one_exponential_per_32_timings(tmp_path, monkeypatch, timing, points):
+    # every CLI grid is a linspace, so each batch takes exact phases at
+    # timings 0, 32, 64, ... and steps the others along the grid
+    anchors = []
+    phase = ensemble._phase
+
+    def counting(*args):
+        anchors.append(args)
+        return phase(*args)
+
+    monkeypatch.setattr(ensemble, "_phase", counting)
+    text = timing + ENSEMBLE.replace("points: 5", f"points: {points}")
+    text += f"method: montecarlo\nsamples: {ensemble._MC_BATCH + 1}\n"  # two batches
+    cfg = write_config(tmp_path, "mc.yaml", text)
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+    assert len(anchors) == 2 * math.ceil(points / ensemble._MC_ANCHOR)
 
 
 def test_out_into_a_missing_directory_exits_one_naming_out(tmp_path, capsys):

@@ -394,45 +394,67 @@ def test_monte_carlo_mixture_draws_each_batch_once(monkeypatch):
 
     monkeypatch.setattr(ensemble, "_phase", counting)
     mixed = curve(Populations(weights))
-    assert len(calls) == 3 * tau.size  # each batch drawn once per timing for both states
+    # each batch drawn once for both states, and anchored once per 32 timings
+    # of the affine grid; a draw per state would anchor it twice
+    assert len(calls) == 3 * math.ceil(tau.size / ensemble._MC_ANCHOR)
     np.testing.assert_allclose(mixed, per_state, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", list(SequenceKind))
 def test_monte_carlo_equals_explicit_sequence_over_its_draws(kind, monkeypatch):
     # the harmonic series at the mean e^{i k phi} against Dx_last Dz(phi)
-    # Dx_first averaged over the very phases that the Monte Carlo path drew
+    # Dx_first averaged over the phases of the very (z0, vz) that the Monte
+    # Carlo path drew
     spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=2 * ensemble._MC_BATCH + 100)
     weights = np.array([0.7, 0.0, 0.0, 0.3, 0.0])
     tau1 = np.linspace(0, 60e-6, 4)
-    tau2 = 1.5 * tau1 if kind is SequenceKind.ECHO else None
-    drawn = []
+    tau2 = 1.5 * tau1 if kind is SequenceKind.ECHO else np.zeros_like(tau1)
+    draws = []
     phase = ensemble._phase
 
-    def recording(*args):
-        drawn.append(phase(*args))
-        return drawn[-1]
+    def recording(field, kind, z0, vz, a, b):
+        draws.append((z0, vz))
+        return phase(field, kind, z0, vz, a, b)
 
     monkeypatch.setattr(ensemble, "_phase", recording)
     curve = ensemble_average_curve(
         ECHO_FIELD, spec, kind, tau1, tau2, Populations(weights), AverageMethod.MONTE_CARLO
     )
-    for t, row in enumerate(curve):
-        phis = np.concatenate(drawn[t :: tau1.size])  # batch-major: one call per batch and timing
-        assert phis.size == spec.n_samples
+    assert len(draws) == 3  # one anchor per batch: the grid is affine
+    z0, vz = (np.concatenate(d) for d in zip(*draws))
+    assert z0.size == spec.n_samples
+    for row, a, b in zip(curve, tau1, tau2):
+        phis = phase(ECHO_FIELD, kind, z0, vz, a, b)
         expected = per_state_sum(
             weights, lambda state: single_atom_sequence(state, kind, phis).mean(axis=0)
         )
         np.testing.assert_allclose(row, expected, rtol=0, atol=1e-13)
 
 
+def _harmonic_means(monkeypatch, field, spec, kind, tau1, tau2) -> np.ndarray:
+    """The Monte Carlo means <z^k>, k = 1..4, per timing, read out through
+    coefficients that give channel k Re(2 <z^k>) and channel 4 + k
+    Re(-2i <z^k>) = 2 Im <z^k>."""
+    readout = np.zeros((5, 9, 1), dtype=complex)
+    readout[0, 0] = 1
+    for k in range(1, 5):
+        readout[k, k], readout[k, 4 + k] = 1, -1j
+    monkeypatch.setattr(ensemble, "_phase_harmonics", lambda first, last, columns: readout)
+    curve = ensemble_average_curve(
+        field, spec, kind, tau1, tau2, PLUS2, AverageMethod.MONTE_CARLO
+    )
+    assert np.all(curve[:, 0] == 1.0)
+    return (curve[:, 1:5] + 1j * curve[:, 5:]) / 2
+
+
 @pytest.mark.parametrize("kind", list(SequenceKind))
 def test_monte_carlo_power_sums_match_explicit_exponentials(kind, monkeypatch):
     # a 40 MHz carrier takes |phi| to 1.0e4 rad at a 40 us delay; three
-    # batches, the last one partial
+    # batches, the last one partial; a grid that is not affine in its index,
+    # so every timing takes its own exponential
     field = FieldConfig(omega0=TWO_PI * 40e6, b1=13.5 * MG_PER_MM)
     spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=2 * ensemble._MC_BATCH + 100)
-    tau1 = np.array([0.0, 20e-6, 40e-6])
+    tau1 = np.array([0.0, 15e-6, 40e-6])
     tau2 = 2 * tau1 if kind is SequenceKind.ECHO else None
     drawn = []
     phase = ensemble._phase
@@ -441,18 +463,8 @@ def test_monte_carlo_power_sums_match_explicit_exponentials(kind, monkeypatch):
         drawn.append(phase(*args))
         return drawn[-1]
 
-    # coefficients that read the harmonic means out as channels: channel k
-    # gets Re(2 <z^k>) and channel 4 + k gets Re(-2i <z^k>) = 2 Im <z^k>
-    readout = np.zeros((5, 9, 1), dtype=complex)
-    readout[0, 0] = 1
-    for k in range(1, 5):
-        readout[k, k], readout[k, 4 + k] = 1, -1j
     monkeypatch.setattr(ensemble, "_phase", recording)
-    monkeypatch.setattr(ensemble, "_phase_harmonics", lambda first, last, columns: readout)
-    curve = ensemble_average_curve(
-        field, spec, kind, tau1, tau2, PLUS2, AverageMethod.MONTE_CARLO
-    )
-    means = (curve[:, 1:5] + 1j * curve[:, 5:]) / 2
+    means = _harmonic_means(monkeypatch, field, spec, kind, tau1, tau2)
     # Round-off, in units of u = 2^-53.  z = e^{i phi} is within 1 ulp <= 2u
     # per component, and a complex product adds at most sqrt(5) u (Brent,
     # Percival & Zimmermann, Math. Comp. 76, 1469 (2007)), so z^4 after three
@@ -473,8 +485,151 @@ def test_monte_carlo_power_sums_match_explicit_exponentials(kind, monkeypatch):
         reference = np.exp(1j * np.multiply.outer(phis.astype(np.longdouble), k)).mean(axis=0)
         np.testing.assert_array_less(np.abs(row.real - reference.real.astype(float)), bound)
         np.testing.assert_array_less(np.abs(row.imag - reference.imag.astype(float)), bound)
-    assert np.all(curve[:, 0] == 1.0)
+    assert len(drawn) == 3 * tau1.size
     assert np.abs(drawn[tau1.size - 1]).max() > 1e4
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_monte_carlo_recursion_power_sums_match_long_double_phases(kind, monkeypatch):
+    # the affine twin of the test above: 40 timings of a linspace, so each
+    # batch takes exponentials at its anchors, timings 0 and 32, and steps
+    # the others by z_{j+1} = z_j r_j, r_{j+1} = r_j w
+    field = FieldConfig(omega0=TWO_PI * 40e6, b1=13.5 * MG_PER_MM)
+    spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=2 * ensemble._MC_BATCH + 100)
+    tau1 = np.linspace(0.0, 40e-6, 40)
+    tau2 = 2 * tau1 if kind is SequenceKind.ECHO else np.zeros_like(tau1)
+    anchors = []
+    phase = ensemble._phase
+
+    def recording(field, kind, z0, vz, a, b):
+        anchors.append((z0, vz, phase(field, kind, z0, vz, a, b)))
+        return anchors[-1][2]
+
+    monkeypatch.setattr(ensemble, "_phase", recording)
+    means = _harmonic_means(monkeypatch, field, spec, kind, tau1, tau2)
+    n, interval = tau1.size, ensemble._MC_ANCHOR
+    assert len(anchors) == 3 * 2  # batch-major: timings 0 and 32 of each batch
+
+    # The reference phase is the anchor's, plus the long-double change of
+    # the phase of the same (z0, vz) from the anchor's timing to t_j.
+    ld = np.longdouble
+
+    def coefficients(t1, t2):
+        return np.array(ensemble._phase_terms(field, kind, ld(t1), ld(t2)))
+
+    def phase_of(c, z0, vz):
+        return c[0] + c[1] * z0 + c[2] * vz
+
+    h1, h2 = ((t[-1] - t[0]) / (n - 1) for t in (tau1, tau2))
+    exact = [coefficients(a, b) for a, b in zip(tau1, tau2)]
+    ideal = [coefficients(tau1[0] + j * ld(h1), tau2[0] + j * ld(h2)) for j in range(n)]
+    reference = np.zeros((n, 4), dtype=np.clongdouble)
+    dev = phi_max = 0.0
+    for i, (z0, vz, anchor_phase) in enumerate(anchors):
+        z0, vz, j0 = z0.astype(ld), vz.astype(ld), i % 2 * interval
+        for j in range(j0, min(j0 + interval, n)):
+            phi = anchor_phase + phase_of(exact[j] - exact[j0], z0, vz)
+            z = np.exp(1j * phi)
+            reference[j] += np.cumprod(np.broadcast_to(z, (4, z.size)), axis=0).sum(axis=1)
+            dev = max(dev, float(np.abs(phase_of(exact[j] - ideal[j], z0, vz)).max()))
+            phi_max = max(phi_max, float(np.abs(phi).max()))
+    reference /= spec.n_samples
+    z_max, v_max = (max(np.abs(a[c]).max() for a in anchors) for c in (0, 1))
+    delta1, delta2 = (
+        float(abs(d[0]) + abs(d[1]) * z_max + abs(d[2]) * v_max)
+        for d in (ideal[1] - ideal[0], ideal[2] - 2 * ideal[1] + ideal[0])
+    )
+    # Round-off per sample, in units of u = 2^-53.  An exponential is within
+    # 3u and a complex product adds at most sqrt(5) u, as above.  D1 and D2
+    # are long-double differences of (a, g_z, g_v) along t_0 + j h, rounded
+    # to double and combined with (z0, vz) in two products and two sums, so
+    # each is within 4u Delta_i, Delta_i = |d_a| + |d_z z0| + |d_v vz|.  So
+    # r_j, j products by w past r_0, is within 3u + 4u Delta_1
+    # + j (3u + sqrt(5) u + 4u Delta_2) of e^{i (D1 + j D2)}, and z, at most
+    # 31 products r_j (j <= n - 2) past its anchor, is within
+    #   E = 3u + 31 (3u + sqrt(5) u + 4u Delta_1)
+    #       + 31 (n - 2) (3u + sqrt(5) u + 4u Delta_2) + 2 dev + 2^-60 max|phi|
+    # of the reference: the steps follow the phase at t_0 + j h, at most dev
+    # from the phase at t_j, and the long-double phase and powers carry a few
+    # roundings of 2^-64 |phi|.  z^4 is then within 4E + 3 sqrt(5) u, and the
+    # sums add (16 + 3 + 8 + 4) u as above.  The carrier's step dominates:
+    # the bound is about 2e-11, and the means are off by about 1e-13.
+    u = 2.0**-53
+    chain = 3 * u + math.sqrt(5) * u
+    error = (
+        3 * u
+        + (interval - 1) * (chain + 4 * u * delta1)
+        + (interval - 1) * (n - 2) * (chain + 4 * u * delta2)
+        + 2 * dev
+        + 2.0**-60 * phi_max
+    )
+    bound = 4 * error + 3 * math.sqrt(5) * u + (16 + 3 + 8 + 4) * u
+    assert np.finfo(np.longdouble).nmant >= 63
+    np.testing.assert_array_less(np.abs(means.real - reference.real.astype(float)), bound)
+    np.testing.assert_array_less(np.abs(means.imag - reference.imag.astype(float)), bound)
+    assert phi_max > 1e4
+
+
+def test_monte_carlo_recursion_stays_near_exact_phases_over_a_long_grid():
+    # 1,000 timings, so 32 anchors, while r_j = r_0 w^j runs the whole grid.
+    # The echo's fixed tau1 puts the carrier 118 to 826 rad off zero, so the
+    # steps are differences of coefficients that share their leading digits.
+    # 1e-13 is the tolerance the ensemble docstring states between the
+    # recursion and the exact path; this grid gives 1.3e-14, and 2.2e-13
+    # without re-anchoring or 3.8e-13 with the differences taken in double.
+    spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=4096, seed=3)
+    initial = Populations([0.6, 0.0, 0.25, 0.0, 0.15])
+    tau1, tau2 = np.full(1000, 50e-6), np.linspace(0.0, 400e-6, 1000)
+    method = AverageMethod.MONTE_CARLO
+    curve = ensemble_average_curve(
+        RAMSEY_FIELD, spec, SequenceKind.ECHO, tau1, tau2, initial, method
+    )
+    exact = [
+        ensemble_average(RAMSEY_FIELD, spec, SequenceKind.ECHO, a, b, initial, method).p
+        for a, b in zip(tau1, tau2)
+    ]
+    np.testing.assert_allclose(curve, exact, rtol=0, atol=1e-13)
+
+
+def _perturbed_linspace() -> np.ndarray:
+    tau = np.linspace(0.0, 60e-6, 40)
+    tau[17] *= 1 + 1e-9
+    return tau
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+@pytest.mark.parametrize(
+    "tau, anchors",
+    [
+        (np.array([20e-6]), 1),
+        (np.array([0.0, 20e-6]), 2),
+        (np.full(5, 20e-6), 1),
+        (_perturbed_linspace(), 40),
+    ],
+    ids=["one-timing", "two-timings", "constant", "perturbed-linspace"],
+)
+def test_monte_carlo_grid_edges_equal_per_timing_averages(kind, tau, anchors, monkeypatch):
+    # fewer than 3 timings, or one timing off the line by far more than
+    # 4 eps max|t|, anchor every timing; a constant grid steps by r = w = 1
+    spec = EnsembleSpec(sigma_z0=0.73e-3, t_axial=0.2e-3, n_samples=ensemble._MC_BATCH + 50, seed=7)
+    initial = Populations([0.6, 0.0, 0.25, 0.0, 0.15])
+    tau2 = 1.5 * tau if kind is SequenceKind.ECHO else np.zeros_like(tau)
+    calls = []
+    phase = ensemble._phase
+
+    def counting(*args):
+        calls.append(args)
+        return phase(*args)
+
+    monkeypatch.setattr(ensemble, "_phase", counting)
+    curve = ensemble_average_curve(
+        ECHO_FIELD, spec, kind, tau, tau2, initial, AverageMethod.MONTE_CARLO
+    )
+    assert len(calls) == 2 * anchors  # two batches
+    monkeypatch.setattr(ensemble, "_phase", phase)
+    for row, a, b in zip(curve, tau, tau2):
+        single = ensemble_average(ECHO_FIELD, spec, kind, a, b, initial, AverageMethod.MONTE_CARLO)
+        assert np.array_equal(row, single.p)
 
 
 def test_monte_carlo_curve_draws_each_batch_once(monkeypatch):

@@ -211,6 +211,19 @@ def test_echo_requires_one_anchor():
         fit_echo(data, t_axial=0.2e-3, b1=1 * MG_PER_MM)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.2e-3, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["t_axial", "b1"])
+def test_echo_rejects_an_anchor_that_is_not_positive_and_finite(monkeypatch, key, bad):
+    # the anchor divides the fitted compound, and t_axial sits under a square
+    # root, so a bad one is rejected before the fit, naming its key
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_echo fitted before checking its anchor")
+
+    monkeypatch.setattr(fit, "_damped_fit", no_fit)
+    with pytest.raises(ValueError, match=f"^{key}: must be positive and finite"):
+        fit_echo(synthetic_echo(13.5, 0.2e-3, n=10), **{key: bad})
+
+
 @pytest.mark.parametrize(
     "fitter, kwargs, misspelt",
     [
