@@ -399,6 +399,8 @@ def load_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("scenario: config must be a flat key-value mapping")
     for key, value in raw.items():
+        if not isinstance(key, str):  # run_scenario sorts the keys
+            raise ConfigError(f"{key}: a key must be a string, got {type(key).__name__}")
         if isinstance(value, (dict, list)):
             raise ConfigError(f"{key}: nested values are not allowed")
     return raw

@@ -75,11 +75,19 @@ lattice the margins cover the whole objective range, and every point is
 made exact.  The Ramsey and echo grids (81 points each) have no lattice
 sums: their features are damped.
 
-The nonlinear parameter is located on a grid and refined by Brent's
-golden-section and parabolic search in u = ln(x / x_best) between the
-grid neighbours of the best grid point.  ``converged`` means the bracket
-around the refined point shrank below 1e-10 in u, a relative 1e-10 in x,
-within 200 evaluations.  Fits import no SciPy.
+The nonlinear parameter is located on a grid and refined on the profile's
+slope in u = ln(x / x_best) between the grid neighbours of the best grid
+point (``_refine``): secant steps on the last two slopes, whose signs shrink
+the bracket, and bisection where a step would leave it.  By the envelope
+theorem the slope of the mean squared residual is 2 mean(r dF/du w) at the
+solved weights w, since the simplex does not depend on u.  The features'
+slopes are closed forms: -2' k a sin(k a) for the Rabi carrier, and
+-(p / 2) k^2 var F_k for the damped ones, whose variance scales as x^p (p =
+2 for Ramsey, 1 for echo).  Values are never compared: near a noisy minimum
+the rms is flat to the last bit over some 1e-8 in u, where the slope still
+resolves the stationary point.  ``converged`` means the bracket or the step
+fell below 1e-10 in u, a relative 1e-10 in x, within 200 evaluations.  Fits
+import no SciPy.
 
 Grid bounds are set by a dimensionless scale of the sampled trace:
 
@@ -179,8 +187,8 @@ class FitResult:
         the trace is constant and nothing is identifiable.
     residual_rms: rms over samples and channels of the explicit residual at
         the fitted value and weights (0 when params is empty).
-    converged: whether the refinement's bracket shrank below ``_XATOL``
-        within ``_REFINE_MAX_ITER`` evaluations.
+    converged: whether the refinement's bracket or step fell below
+        ``_XATOL`` within ``_REFINE_MAX_ITER`` evaluations.
     n_evals: grid points plus refinement steps evaluated.
     diagnostic: why a value is unresolved or unidentifiable, else None.
     curve: the fitted model at the trace's times, shape (n, 5), at the
@@ -206,12 +214,13 @@ class _Profile:
     ``features(x)`` maps trial values x, shape (g,), to the damped carriers
     2' cos(k a) e^{-k^2 var / 2}, shape (g, harmonic, n), which contract
     with the real harmonics of ``_basis_coefficients(kind)`` to the basis
-    curves.  ``n_evals`` counts the grid points and refinement steps of a
-    fit (``_varpro_fit``).
+    curves; ``slopes(x, f)`` maps one value x and its features f (harmonic,
+    n) to their derivatives in u = ln x.  ``n_evals`` counts the grid points
+    and refinement steps of a fit (``_varpro_fit``).
     """
 
-    def __init__(self, data: TimeSeries, kind: SequenceKind | None, features):
-        self._features = features
+    def __init__(self, data: TimeSeries, kind: SequenceKind | None, features, slopes):
+        self._features, self._slopes = features, slopes
         dim = len(ZEEMAN_M)
         # (harmonic, channel, initial state); the imaginary parts are round-off
         self._coeffs = _basis_coefficients(kind).real.reshape(dim, dim, dim)
@@ -247,14 +256,19 @@ class _Profile:
         gram = (ff @ self._pairs).reshape(-1, dim, dim) / scale
         return gram, fy @ self._coeffs.reshape(dim * dim, dim) / scale
 
-    def fit(self, x: float) -> tuple[np.ndarray, float]:
-        """Weights at x and the rms of the explicit residual, which keeps
-        a clean fit's rms far below the normal equations' round-off."""
+    def fit(self, x: float) -> tuple[np.ndarray, float, float]:
+        """Weights w at x, the rms of the explicit residual r, which keeps a
+        clean fit's rms far below the normal equations' round-off, and the
+        slope of the mean squared residual in u = ln x.  The slope is 2
+        mean(r dF/du w) by the envelope theorem: the simplex does not depend
+        on u, so the weights' own change adds nothing at their optimum."""
         self.n_evals += 1
         f = self._features(np.array([x]))
         w = _simplex_solve(*self._sums(f))[0][0]
-        resid = f[0].T @ (self._coeffs @ w) - self._target
-        return w, float(np.sqrt(np.mean(resid**2)))
+        mix = self._coeffs @ w
+        resid = f[0].T @ mix - self._target
+        slope = 2 * np.mean(resid * (self._slopes(x, f[0]).T @ mix))
+        return w, float(np.sqrt(np.mean(resid**2))), float(slope)
 
 
 def _harmonics(a) -> np.ndarray:
@@ -270,6 +284,13 @@ def _harmonics(a) -> np.ndarray:
         prev, cur = cur, two_cos * cur - prev
         out[..., k, :] = cur
     return out
+
+
+def _rabi_slopes(times: np.ndarray, omega: float) -> np.ndarray:
+    """Derivatives of the Rabi features 2' cos(k a), a = omega t / 2, in u =
+    ln omega: -2' k a sin(k a), shape (harmonic, n)."""
+    a = 0.5 * omega * times
+    return -_TWO_PRIME[:, None] * _ORDERS * a * np.sin(_ORDERS * a)
 
 
 def _damped(harmonics: np.ndarray, var: np.ndarray) -> np.ndarray:
@@ -302,6 +323,7 @@ def _product_map() -> np.ndarray:
 
 
 _TWO_PRIME = np.array([1.0, 2.0, 2.0, 2.0, 2.0])  # 2' of harmonics k = 0..4
+_ORDERS = np.arange(len(ZEEMAN_M))[:, None]  # k = 0..4, a column against the samples
 _PRODUCTS = _product_map()
 
 
@@ -486,62 +508,31 @@ def _log_grid(lo: float, hi: float, per_decade: float = _GRID_PER_DECADE) -> np.
     return np.geomspace(lo, hi, max(3, math.ceil(per_decade * math.log10(hi / lo)) + 1))
 
 
-def _brent(f, lo: float, hi: float) -> tuple[float, bool]:
-    """Minimum of f on [lo, hi] by Brent's golden-section and parabolic
-    search (Brent, Algorithms for Minimization without Derivatives (1973),
-    ch. 5).  Returns the best point and whether the bracket around it
-    shrank below ``_XATOL`` within ``_REFINE_MAX_ITER`` evaluations."""
-    golden = 0.5 * (3.0 - math.sqrt(5.0))
-    tol = _XATOL / 4  # the bracket is within 2 tol of x on both sides at the end
-    a, b = lo, hi
-    x = w = v = a + golden * (b - a)
-    fx = fw = fv = f(x)
-    step = last = 0.0  # the step taken and the one before it
+def _refine(slope, lo: float, hi: float) -> tuple[float, bool]:
+    """Stationary point of a profile in u on [lo, hi], from u = 0, given its
+    slope: a secant step on the last two slopes, bisection where the step
+    would leave the bracket, which each slope's sign shrinks.  Returns the
+    point where the bracket or the step fell below ``_XATOL`` and whether
+    that happened within ``_REFINE_MAX_ITER`` evaluations.  Values are never
+    compared: at a noisy profile's flat bottom they cannot tell points apart."""
+    u, u_last, s_last = 0.0, math.nan, math.nan  # a NaN step fails the bracket test
     for _ in range(_REFINE_MAX_ITER):
-        mid = 0.5 * (a + b)
-        if abs(x - mid) <= 2 * tol - 0.5 * (b - a):
-            return x, True
-        parabolic = False
-        if abs(last) > tol:  # the parabola through x, w and v
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            p, q = (-p if q > 0 else p), abs(q)
-            # accept a step inside the bracket and under half the one before last
-            if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
-                parabolic = True
-                last, step = step, p / q
-                if x + step - a < 2 * tol or b - x - step < 2 * tol:
-                    step = tol if mid >= x else -tol
-        if not parabolic:
-            last = (a if x >= mid else b) - x
-            step = golden * last
-        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
-        fu = f(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v in (x, w):
-                v, fv = u, fu
-    return x, False
+        s = slope(u)
+        lo, hi = (lo, u) if s > 0 else (u, hi)
+        step = -s * (u - u_last) / (s - s_last) if s != s_last else math.nan
+        if not lo < u + step < hi:
+            step = 0.5 * (lo + hi) - u
+        if hi - lo < _XATOL or abs(step) < _XATOL:
+            return u + step, True
+        u, u_last, s_last = u + step, u, s
+    return u, False
 
 
 def _varpro_fit(profile: _Profile, grid: np.ndarray, name: str, gram, b, bound, model) -> FitResult:
     """Grid search over the increasing positive values ``grid``, whose G, b
-    and lower bounds (``_screened_argmin``) are given, then Brent's search in u
-    = ln(x / x_best) between the best point's neighbours, where ``_XATOL``
-    on u is a relative tolerance on x.
+    and lower bounds (``_screened_argmin``) are given, then ``_refine`` on
+    the profile's slope in u = ln(x / x_best) between the best point's
+    neighbours, where ``_XATOL`` on u is a relative tolerance on x.
 
     params hold the fitted value under ``name`` and the five weights; the
     curve is ``model(x, weights)`` at the fitted ones.
@@ -550,13 +541,13 @@ def _varpro_fit(profile: _Profile, grid: np.ndarray, name: str, gram, b, bound, 
     i = _screened_argmin(gram, b, bound)
     x_best = float(grid[i])
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    u, converged = _brent(
-        lambda u: profile.fit(x_best * math.exp(u))[1],
+    u, converged = _refine(
+        lambda u: profile.fit(x_best * math.exp(u))[2],
         math.log(lo / x_best),
         math.log(hi / x_best),
     )
     x = x_best * math.exp(u)
-    weights, rms = profile.fit(x)
+    weights, rms, _ = profile.fit(x)
     diagnostic = None
     if i in (0, grid.size - 1):
         side = "lower" if i == 0 else "upper"
@@ -623,7 +614,12 @@ def fit_rabi(data: TimeSeries, omega_guess: float | None = None) -> FitResult:
     step = math.pi / (4 * t_ref)
     uniform = np.arange(lo, hi, step)
     grid = np.union1d(_log_grid(lo, hi), uniform)
-    profile = _Profile(data, None, lambda omega: _harmonics(0.5 * omega[:, None] * data.times))
+    profile = _Profile(
+        data,
+        None,
+        lambda omega: _harmonics(0.5 * omega[:, None] * data.times),
+        lambda omega, f: _rabi_slopes(data.times, omega),
+    )
     on_lattice = np.isin(grid, uniform)
     dim = len(ZEEMAN_M)
     gram, b, margin = np.empty((grid.size, dim, dim)), np.empty((grid.size, dim)), np.zeros(grid.size)
@@ -643,13 +639,21 @@ def fit_rabi(data: TimeSeries, omega_guess: float | None = None) -> FitResult:
     return _varpro_fit(profile, grid, "omega", gram, b, bound, partial(rabi_model_curve, data.times))
 
 
-def _damped_fit(data: TimeSeries, kind: SequenceKind, carrier, variance, grid, name: str, model) -> FitResult:
+def _damped_fit(
+    data: TimeSeries, kind: SequenceKind, carrier, variance, power: int, grid, name: str, model
+) -> FitResult:
     """``_varpro_fit`` of a Ramsey or echo trace over ``grid``, whose features
     are the harmonics of ``carrier`` damped by the phase variance
-    ``variance(x)`` (g, n) at trial values x (g,), with the curve
-    ``model(x, weights)``."""
+    ``variance(x)`` (g, n) at trial values x (g,), which scales as x^power,
+    with the curve ``model(x, weights)``.  A feature's slope in u = ln x is
+    -(power / 2) k^2 var times the feature."""
     harmonics = _harmonics(carrier)
-    profile = _Profile(data, kind, lambda x: _damped(harmonics, variance(x)))
+    profile = _Profile(
+        data,
+        kind,
+        lambda x: _damped(harmonics, variance(x)),
+        lambda x, f: -0.5 * power * _ORDERS**2 * variance(np.array([x])) * f,
+    )
     gram, b = profile.statistics(grid)
     return _varpro_fit(profile, grid, name, gram, b, _sum_to_one_bound(gram, b), model)
 
@@ -715,7 +719,7 @@ def fit_ramsey(data: TimeSeries, *, b0: float, sigma_z0: float, t_axial: float) 
         )
 
     return _damped_fit(
-        data, SequenceKind.RAMSEY, carrier, lambda b1: b1[:, None] ** 2 * var_unit, grid, "b1", model
+        data, SequenceKind.RAMSEY, carrier, lambda b1: b1[:, None] ** 2 * var_unit, 2, grid, "b1", model
     )
 
 
@@ -744,7 +748,7 @@ def fit_echo(data: TimeSeries, *, t_axial: float | None = None, b1: float | None
     grid = _log_grid(*(s**2 / t_last**4 for s in _PHASE_SPREAD_BOUNDS), _GRID_PER_DECADE / 2)
     t4, zero = t**4, np.zeros_like(t)  # the carrier cancels
     model = partial(echo_model_curve, t)
-    result = _damped_fit(data, SequenceKind.ECHO, zero, lambda c: c[:, None] * t4, grid, "compound", model)
+    result = _damped_fit(data, SequenceKind.ECHO, zero, lambda c: c[:, None] * t4, 1, grid, "compound", model)
     compound = result.params["compound"]
     if t_axial is not None:
         result.params["b1"] = math.sqrt(compound * MASS_NE20 / (K_B * float(t_axial))) / GAMMA

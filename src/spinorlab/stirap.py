@@ -60,8 +60,6 @@ import numpy as np
 from .core import Populations, StateVector, clebsch_gordan
 from .propagator import _dop853
 
-CHAIN_LABELS = ("+2", "e2", "+1", "e1", "0")
-
 
 class NonAdiabaticPulseWarning(UserWarning):
     """Pulse area too small for adiabatic passage (diagnostic only)."""

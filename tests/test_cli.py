@@ -479,6 +479,9 @@ def test_bad_data_file_names_data(tmp_path, capsys, scenario, rows, message):
         (f"scenario: fit-echo\ndata: {DATA / 'fit-input-echo.csv'}\nb1: 0 mG/mm\n", "b1"),
         (f"scenario: fit-echo\ndata: {DATA / 'fit-input-echo.csv'}\nt_axial: -0.2 mK\n", "t_axial"),
         (None, "config"),  # no config file at all
+        # keys YAML reads as an integer or as None cannot be sorted with the others
+        ("scenario: rabi\n1: 2\n", "1"),
+        ("scenario: rabi\nnull: 3\n", "None"),
     ],
     ids=[
         "p0-sum",
@@ -498,6 +501,8 @@ def test_bad_data_file_names_data(tmp_path, capsys, scenario, rows, message):
         "zero-b1",
         "negative-t-axial",
         "missing-file",
+        "integer-key",
+        "null-key",
     ],
 )
 def test_bad_config_exits_one_naming_its_key(tmp_path, capsys, text, key):

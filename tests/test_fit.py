@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -376,12 +377,14 @@ def test_profile_statistics_match_explicit_basis():
         field, spec, SequenceKind.RAMSEY, ramsey.times, np.zeros_like(ramsey.times)
     )
     ramsey_harmonics, echo_harmonics = fit._harmonics(carrier), fit._harmonics(0 * echo.times)
+    k2 = np.arange(len(ZEEMAN_M))[:, None] ** 2
     cases = [
         (
             rabi,
             None,
             lambda x: (0.5 * x * rabi.times, 0.0),
             lambda x: fit._harmonics(0.5 * x[:, None] * rabi.times),
+            lambda x, f: fit._rabi_slopes(rabi.times, x),
             TWO_PI * np.array([10e3, 94e3, 95e3, 3e6]),
         ),
         (
@@ -389,6 +392,7 @@ def test_profile_statistics_match_explicit_basis():
             SequenceKind.RAMSEY,
             lambda x: (carrier, x**2 * var_unit),
             lambda x: fit._damped(ramsey_harmonics, x[:, None] ** 2 * var_unit),
+            lambda x, f: -k2 * x**2 * var_unit * f,
             np.array([1e-6, 4.5e-4, 2e-3]),
         ),
         (
@@ -396,18 +400,24 @@ def test_profile_statistics_match_explicit_basis():
             SequenceKind.ECHO,
             lambda x: (0.0, x * echo.times**4),
             lambda x: fit._damped(echo_harmonics, x[:, None] * echo.times**4),
+            lambda x, f: -0.5 * k2 * x * echo.times**4 * f,
             np.array([1e13, 2.7e15, 1e17]),
         ),
     ]
-    for data, kind, phase, features, trials in cases:
-        profile = fit._Profile(data, kind, features)
+    for data, kind, phase, features, slopes, trials in cases:
+
+        def curve(x, w):
+            return fit._harmonic_basis(kind, *phase(x)) @ w
+
+        profile = fit._Profile(data, kind, features, slopes)
         weights, _ = fit._simplex_solve(*profile.statistics(trials))
         for x, w in zip(trials, weights):
             w_ref, rms_ref = _explicit_profile(kind, *phase(x), data)
             np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12)
-            w_fit, rms = profile.fit(x)
+            w_fit, rms, slope = profile.fit(x)
             np.testing.assert_allclose(w_fit, w_ref, rtol=0, atol=1e-12)
             assert rms == pytest.approx(rms_ref, rel=0, abs=1e-12)
+            assert slope == pytest.approx(_slope_at(curve, x, w_fit, data, h=1e-5), rel=1e-9, abs=1e-12)
 
 
 def _kkt_violation(gram, b, w) -> float:
@@ -470,11 +480,94 @@ def test_noiseless_rabi_fit_reports_absent_states_as_exact_zeros(freq, weights):
 
 
 def test_refinement_converges_only_within_its_iteration_cap(monkeypatch):
-    x, converged = fit._brent(lambda u: (u - 0.0123) ** 2, -0.2, 0.3)
+    def slope(u):  # of cosh(u - 0.0123)
+        return math.sinh(u - 0.0123)
+
+    u, converged = fit._refine(slope, -0.2, 0.3)
     assert converged
-    assert x == pytest.approx(0.0123, abs=fit._XATOL)
+    assert u == pytest.approx(0.0123, abs=fit._XATOL)
     monkeypatch.setattr(fit, "_REFINE_MAX_ITER", 3)
-    assert fit._brent(lambda u: (u - 0.0123) ** 2, -0.2, 0.3)[1] is False
+    assert fit._refine(slope, -0.2, 0.3)[1] is False
+
+
+def test_refinement_of_a_slope_of_one_sign_closes_at_the_bracket_end():
+    u, converged = fit._refine(lambda u: 1.0, -0.2, 0.3)
+    assert converged
+    assert u == pytest.approx(-0.2, abs=fit._XATOL)
+    assert fit._refine(lambda u: -1.0, 0.0, 0.3) == (pytest.approx(0.3, abs=fit._XATOL), True)
+
+
+def _slope_at(model, x: float, weights, data: TimeSeries, h=1e-3) -> float:
+    """Slope in u = ln x of the mean squared residual of ``model(x, weights)``
+    with the weights held fixed, by a fourth-order central difference of the
+    model; at the profile's optimal weights it is the profile's slope."""
+    m = {j: model(x * math.exp(j * h), weights) for j in (-2, -1, 1, 2)}
+    dm = (8 * (m[1] - m[-1]) - (m[2] - m[-2])) / (12 * h)
+    return 2 * np.mean((model(x, weights) - data.populations) * dm)
+
+
+def _optimal_weights(model, x: float, data: TimeSeries) -> np.ndarray:
+    """The simplex weights at x, from the model's curves of the five basis states."""
+    a = np.stack([model(x, e) for e in np.eye(len(ZEEMAN_M))], axis=-1).reshape(-1, len(ZEEMAN_M))
+    y = data.populations.ravel()
+    return fit._simplex_solve((a.T @ a)[None] / y.size, (a.T @ y)[None] / y.size)[0][0]
+
+
+def _ramsey_model(data: TimeSeries):
+    spec = EnsembleSpec(sigma_z0=RAMSEY_KNOWN["sigma_z0"], t_axial=RAMSEY_KNOWN["t_axial"], n_samples=1)
+
+    def model(b1, weights):
+        field = FieldConfig(b0=RAMSEY_KNOWN["b0"], b1=b1)
+        return ensemble_average_curve(field, spec, SequenceKind.RAMSEY, data.times, initial=Populations(weights))
+
+    return model
+
+
+@pytest.mark.parametrize("name", ["ramsey", "echo"])
+def test_noisy_fit_lands_on_the_profile_stationary_point(name):
+    rng = np.random.default_rng(1)
+    if name == "ramsey":
+        data = _add_noise(synthetic_ramsey(4.5, n=10_000), 0.01, rng)
+        result, key, model = fit_ramsey(data, **RAMSEY_KNOWN), "b1", _ramsey_model(data)
+    else:
+        data = _add_noise(synthetic_echo(13.5, 0.2e-3, n=10_000), 0.01, rng)
+        result, key = fit_echo(data, t_axial=0.2e-3), "compound"
+        model = partial(echo_model_curve, data.times)
+    assert result.converged
+    x = result.params[key]
+    weights = np.array([result.params[k] for k in fit._POP_KEYS])
+    # the profile's curvature in u, from its slopes at the optimal weights either side
+    d = 1e-4
+    ends = [x * math.exp(j * d) for j in (1, -1)]
+    slopes = [_slope_at(model, e, _optimal_weights(model, e, data), data) for e in ends]
+    curvature = (slopes[0] - slopes[1]) / (2 * d)
+    assert curvature > 0
+    # closer than comparing rms values can resolve near a noisy minimum
+    assert abs(_slope_at(model, x, weights, data)) / curvature <= 1e-10
+
+
+def test_refinement_never_ends_above_the_best_grid_point(monkeypatch):
+    seen, varpro, refine = {}, fit._varpro_fit, fit._refine
+
+    def capture(profile, grid, *rest):
+        seen.update(profile=profile, grid=grid)
+        return varpro(profile, grid, *rest)
+
+    def record(slope, lo, hi):
+        def logged(u):
+            seen.setdefault("slopes", []).append(slope(u))
+            return seen["slopes"][-1]
+
+        return refine(logged, lo, hi)
+
+    monkeypatch.setattr(fit, "_varpro_fit", capture)
+    monkeypatch.setattr(fit, "_refine", record)
+    # no gradient: the profile rises from the grid floor, so its slope keeps one sign
+    result = fit_ramsey(synthetic_ramsey(0.0), **RAMSEY_KNOWN)
+    assert result.converged
+    assert seen["slopes"] and all(s > 0 for s in seen["slopes"])
+    best = seen["profile"].fit(seen["grid"][0])[1]
+    assert result.residual_rms <= best
 
 
 def _grid_statistics(monkeypatch, fitter, *args, **kwargs):
@@ -562,7 +655,7 @@ def _grid_solve_rows(monkeypatch, data: TimeSeries):
             rows.append(b.shape[0])
         return simplex(gram, b)
 
-    def brent_step(self, x):
+    def refinement_step(self, x):
         refining.append(x)
         try:
             return refine(self, x)
@@ -570,7 +663,7 @@ def _grid_solve_rows(monkeypatch, data: TimeSeries):
             refining.pop()
 
     monkeypatch.setattr(fit, "_simplex_solve", counted)
-    monkeypatch.setattr(fit._Profile, "fit", brent_step)
+    monkeypatch.setattr(fit._Profile, "fit", refinement_step)
     result = fit_rabi(data)
     monkeypatch.undo()
     return result, sum(rows)
@@ -580,7 +673,7 @@ def test_noisy_rabi_fit_solves_few_grid_points_exactly(monkeypatch):
     data = synthetic_rabi(TWO_PI * 95e3, [0.5, 0.3, 0.2, 0, 0], n=1000, t_max=40e-6, noise=0.01, seed=5)
     result, rows = _grid_solve_rows(monkeypatch, data)
     assert rows <= 8  # of 2,077 grid points
-    assert result.n_evals == 2089  # every grid point's statistics and 12 refinement steps
+    assert result.n_evals == 2083  # every grid point's statistics, 5 refinement steps and the final fit
 
 
 def _lattice_screen(monkeypatch, data: TimeSeries, **kwargs) -> dict:

@@ -113,9 +113,10 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def test_every_private_name_is_read_in_the_package():
-    """Each private top-level name a module defines (dunders aside) is read
-    in the package, by name or as an attribute, so that a deletion leaves
-    no orphaned helper or constant behind."""
+    """Each private top-level name a module defines (dunders aside), and each
+    public one that ``import spinorlab`` does not export, is read in the
+    package, by name or as an attribute, so that a deletion leaves no
+    orphaned helper or constant behind."""
     paths = Path(spinorlab.__file__).parent.glob("*.py")
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
     read = set()
@@ -135,6 +136,8 @@ def test_every_private_name_is_read_in_the_package():
                 names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
             else:
                 continue
-            defined += [(module, name) for name in names if name.startswith("_") and not name.endswith("__")]
+            defined += [(module, name) for name in names if not name.endswith("__")]
     assert len(defined) > 50  # the walk found the helpers
-    assert [f"{module}: {name}" for module, name in defined if name not in read] == []
+    exported = set(vars(spinorlab))
+    unread = [f"{module}: {name}" for module, name in defined if name not in read | exported]
+    assert unread == []
