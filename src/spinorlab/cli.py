@@ -1,10 +1,16 @@
-"""Command-line front end: flat YAML scenario configs in, CSV curves out.
+"""Command-line front end: flat scenario configs in, CSV curves out.
 
-Each config is a single flat mapping with a ``scenario`` key naming the
-scenario kind plus that scenario's physical parameters.  Dimensioned values
-carry a unit suffix ("omega0: 800 kHz", "b1: 4.5 mG/mm"); frequencies are
-ordinary frequencies (the stored angular frequency is 2*pi times the
-number).  Unknown keys are rejected.
+A config is a text file of ``key: value`` lines: a ``scenario`` key naming
+the scenario kind plus that scenario's physical parameters.  A key starts
+its line with a letter or underscore, runs on in letters, digits and
+underscores, and ends at a colon; the value is the rest of the line,
+stripped.  Blank lines are skipped, and a ``#`` at the start of a line or
+after whitespace starts a comment.  Each key's parser reads its value from
+that string, so numbers and integers are unquoted decimals.  A malformed
+line, an empty value and a repeated or unknown key are config errors.
+Dimensioned values carry a unit suffix ("omega0: 800 kHz", "b1: 4.5
+mG/mm"); frequencies are ordinary frequencies (the stored angular
+frequency is 2*pi times the number).
 
 CSV columns: independent variable first (t_us, eta, tau1_us, tau2_us, or
 tau_tilde_us), then p_p2, p_p1, p_0, p_m1, p_m2, then envelope or survival
@@ -33,7 +39,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from . import ensemble, fit, stirap
 from .core import TWO_PI, Populations
@@ -54,7 +59,7 @@ class ConfigError(Exception):
     """Configuration problem; the message names the offending key."""
 
 
-_NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+_NUMBER = r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
 
 _UNITS = {
     "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6},
@@ -71,10 +76,8 @@ def _unit_parser(kind: str, scale: float = 1.0):
     finite, times ``scale``."""
     units = _UNITS[kind]
 
-    def parse(key: str, raw) -> float:
-        if not isinstance(raw, str):
-            raise ConfigError(f"{key}: expected a string with a {kind} unit suffix, got {raw!r}")
-        match = re.fullmatch(rf"\s*({_NUMBER})\s*(\S+)\s*", raw)
+    def parse(key: str, raw: str) -> float:
+        match = re.fullmatch(rf"({_NUMBER})\s*(\S+)", raw)
         if not match:
             raise ConfigError(f"{key}: cannot parse {raw!r} as '<number> <unit>'")
         number, unit = match.groups()
@@ -97,34 +100,37 @@ parse_length = _unit_parser("length")
 parse_temperature = _unit_parser("temperature")
 
 
-def _integer_parser(least: int, kind: str, most: float = math.inf):
-    def parse(key: str, raw) -> int:
-        if isinstance(raw, bool) or not isinstance(raw, int) or raw < least:
-            raise ConfigError(f"{key}: expected a {kind} integer, got {raw!r}")
-        if raw > most:
-            raise ConfigError(f"{key}: must be at most {most}")
-        return raw
+# a longer value is past sys.maxsize, so int() never meets Python's digit limit
+_INTEGER = rf"[-+]?\d{{1,{len(str(sys.maxsize))}}}"
+
+
+def _integer_parser(least: int, kind: str):
+    """Parser of decimal integers from ``least`` to sys.maxsize: a count
+    beyond it is no array size."""
+
+    def parse(key: str, raw: str) -> int:
+        if not (re.fullmatch(_INTEGER, raw) and least <= int(raw) <= sys.maxsize):
+            raise ConfigError(f"{key}: expected a {kind} decimal integer up to {sys.maxsize}, got {raw!r}")
+        return int(raw)
 
     return parse
 
 
-parse_count = _integer_parser(1, "positive", sys.maxsize)  # a count beyond it is no array size
+parse_count = _integer_parser(1, "positive")
 parse_seed = _integer_parser(0, "non-negative")
 
 
-def parse_number(key: str, raw) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {raw!r}")
-    # NaN and inf fail, and so does an int beyond the float range: int and float compare exactly
-    if not abs(raw) <= sys.float_info.max:
-        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
-    return float(raw)
+def parse_number(key: str, raw: str) -> float:
+    value = float(raw) if re.fullmatch(_NUMBER, raw) else math.nan
+    if not math.isfinite(value):  # float() gives inf for a value beyond the float range
+        raise ConfigError(f"{key}: expected a finite decimal number, got {raw!r}")
+    return value
 
 
 def _in_range(parse, lo: float, hi: float = math.inf):
     """``parse``, then a check that the value lies in [lo, hi]."""
 
-    def parse_in_range(key: str, raw) -> float:
+    def parse_in_range(key: str, raw: str) -> float:
         value = parse(key, raw)
         if not lo <= value <= hi:
             raise ConfigError(f"{key}: must lie in [{lo:g}, {hi:g}], got {raw!r}")
@@ -138,16 +144,14 @@ parse_span = _in_range(parse_time, 0.0)  # durations, delays and the ends of del
 parse_ratio = _in_range(parse_number, 0.0)
 
 
-def parse_method(key: str, raw) -> ensemble.AverageMethod:
+def parse_method(key: str, raw: str) -> ensemble.AverageMethod:
     if raw in ("analytic", "montecarlo"):
         return ensemble.AverageMethod(raw)
     raise ConfigError(f"{key}: must be 'analytic' or 'montecarlo', got {raw!r}")
 
 
-def parse_path(key: str, raw) -> str:
-    if not isinstance(raw, str) or not raw:
-        raise ConfigError(f"{key}: expected a file path, got {raw!r}")
-    return raw
+def parse_path(key: str, raw: str) -> str:
+    return raw  # _load_timeseries names the key of a path it cannot read
 
 
 @dataclass(frozen=True)
@@ -386,23 +390,28 @@ SCENARIOS = {
 }
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str) -> dict[str, str]:
+    """The ``key: value`` lines of the config at ``path``, each value the
+    string its key's parser reads."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-    except OSError as exc:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path!r} ({exc})") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config: invalid YAML in {path!r} ({exc})") from exc
-    except ValueError as exc:  # an integer beyond Python's digit limit, or bytes that are not UTF-8
-        raise ConfigError(f"config: cannot load {path!r} ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("scenario: config must be a flat key-value mapping")
-    for key, value in raw.items():
-        if not isinstance(key, str):  # run_scenario sorts the keys
-            raise ConfigError(f"{key}: a key must be a string, got {type(key).__name__}")
-        if isinstance(value, (dict, list)):
-            raise ConfigError(f"{key}: nested values are not allowed")
+    raw = {}
+    for number, line in enumerate(lines, 1):
+        text = re.sub(r"(?:^|\s)#.*", "", line, count=1).rstrip()
+        if not text:
+            continue
+        match = re.fullmatch(r"([A-Za-z_]\w*):(.*)", text)
+        if not match:
+            raise ConfigError(f"config: line {number} of {path!r} is not 'key: value': {line!r}")
+        key, value = match[1], match[2].strip()
+        if not value:
+            raise ConfigError(f"{key}: no value given")
+        if key in raw:
+            raise ConfigError(f"{key}: given twice")
+        raw[key] = value
     return raw
 
 
@@ -460,10 +469,10 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run a scenario config and write a CSV")
-    run_p.add_argument("config", help="path to a flat YAML scenario config")
+    run_p.add_argument("config", help="path to a scenario config of 'key: value' lines")
     run_p.add_argument("--out", required=True, help="output CSV path")
-    run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--samples", type=int, default=None, help="override the sample count")
+    run_p.add_argument("--seed", help="override the config seed")
+    run_p.add_argument("--samples", help="override the sample count")
     run_p.add_argument("--format", choices=("csv", "tsv"), default="csv")
     sub.add_parser("list-scenarios", help="print scenario kinds and their keys")
     args = parser.parse_args(argv)
@@ -475,12 +484,12 @@ def main(argv=None) -> int:
     try:
         raw = load_config(args.config)
         output = run_scenario(raw, args.seed, args.samples)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except (NumericalError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (ConfigError, ValueError) as exc:  # after the clause above: LinAlgError is a ValueError
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     text = format_table(output, "\t" if args.format == "tsv" else ",")
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

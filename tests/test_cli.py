@@ -285,7 +285,9 @@ def test_rabi_with_one_point_writes_the_initial_state(tmp_path, scenario):
     assert out.read_text(encoding="utf-8").splitlines()[1:] == ["0,1,0,0,0,0"]
 
 
-@pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--seed", "-1")])
+@pytest.mark.parametrize(
+    "flag, value", [("--samples", "0"), ("--seed", "-1"), ("--seed", "abc"), ("--samples", "1e3")]
+)
 def test_bad_override_flag_exits_one_naming_it(tmp_path, capsys, flag, value):
     cfg = write_config(
         tmp_path,
@@ -327,6 +329,17 @@ def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, "rabi.yaml", RABI_CONFIG)
     assert run_cli(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_singular_matrix_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # np.linalg.LinAlgError is a ValueError, which is otherwise a config error
+    def singular(raw, seed=None, samples=None):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "run_scenario", singular)
+    cfg = write_config(tmp_path, "rabi.yaml", RABI_CONFIG)
+    assert run_cli(["run", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
 
 
 def test_step_budget_overrun_exits_two_and_names_the_budget(tmp_path, capsys, monkeypatch):
@@ -462,8 +475,9 @@ def test_bad_data_file_names_data(tmp_path, capsys, scenario, rows, message):
         (RABI_CONFIG.replace("800 kHz", "fast"), "omega0"),
         ("scenario: ramsey\ntau_max: 40 us\nmethod: fast\n" + ENSEMBLE, "method"),
         ("scenario: fit-rabi\ndata: 5\n", "data"),
-        ("scenario: rabi\nomega0: [800 kHz\n", "config"),
-        ("- scenario: rabi\n", "scenario"),
+        # YAML-only spellings: a flow sequence is no value, and a list item no line
+        ("scenario: rabi\nomega0: [800 kHz\n", "omega0"),
+        ("- scenario: rabi\n", "config"),
         (RABI_KEYS, "scenario"),
         # integers beyond the float range are config errors, not numerical failures
         ("scenario: fstirap-scan\neta_max: " + "1" * 400 + "\n" + STIRAP_PULSES, "eta_max"),
@@ -471,17 +485,21 @@ def test_bad_data_file_names_data(tmp_path, capsys, scenario, rows, message):
         # counts beyond sys.maxsize are no array size; the parser rejects them
         (RABI_CONFIG.replace("points: 300", "points: " + "1" * 400), "points"),
         ("scenario: ramsey\ntau_max: 40 us\nmethod: montecarlo\nsamples: " + "1" * 400 + "\n" + ENSEMBLE, "samples"),
-        # beyond Python's digit limit for int(), which PyYAML raises as a ValueError
-        ("scenario: fstirap-scan\neta_max: " + "1" * 5000 + "\n" + STIRAP_PULSES, "config"),
+        # beyond Python's digit limit for int(); a number is read by float()
+        ("scenario: fstirap-scan\neta_max: " + "1" * 5000 + "\n" + STIRAP_PULSES, "eta_max"),
         ("scenario: stirap\neta: abc\n" + STIRAP_PULSES, "eta"),
         # fit-echo's anchor divides the fitted compound, so it must be positive
         (f"scenario: fit-echo\ndata: {DATA / 'fit-input-echo.csv'}\nt_axial: 0 mK\n", "t_axial"),
         (f"scenario: fit-echo\ndata: {DATA / 'fit-input-echo.csv'}\nb1: 0 mG/mm\n", "b1"),
         (f"scenario: fit-echo\ndata: {DATA / 'fit-input-echo.csv'}\nt_axial: -0.2 mK\n", "t_axial"),
         (None, "config"),  # no config file at all
-        # keys YAML reads as an integer or as None cannot be sorted with the others
-        ("scenario: rabi\n1: 2\n", "1"),
-        ("scenario: rabi\nnull: 3\n", "None"),
+        # a key starts with a letter or underscore, and YAML's null is a plain key
+        ("scenario: rabi\n1: 2\n", "config"),
+        ("scenario: rabi\nnull: 3\n", "null"),
+        # YAML would read 1:30 in base 60, as 90, and take the last of repeated keys
+        (RABI_CONFIG.replace("points: 300", "points: 1:30"), "points"),
+        (RABI_CONFIG + "points: 30\n", "points"),
+        (RABI_CONFIG.replace("points: 300", "points : 300"), "config"),
     ],
     ids=[
         "p0-sum",
@@ -503,6 +521,9 @@ def test_bad_data_file_names_data(tmp_path, capsys, scenario, rows, message):
         "missing-file",
         "integer-key",
         "null-key",
+        "base-60",
+        "repeated-key",
+        "space-before-colon",
     ],
 )
 def test_bad_config_exits_one_naming_its_key(tmp_path, capsys, text, key):
@@ -511,6 +532,34 @@ def test_bad_config_exits_one_naming_its_key(tmp_path, capsys, text, key):
     assert run_cli(["run", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
     assert not out.exists()
+
+
+MC_RAMSEY = "scenario: ramsey\ntau_max: 40 us\nmethod: montecarlo\nsamples: 2000\n" + ENSEMBLE
+
+
+def _run_bytes(tmp_path, text, *flags):
+    cfg, out = write_config(tmp_path, "cfg.yaml", text), tmp_path / "out.csv"
+    assert run_cli(["run", cfg, "--out", str(out), *flags]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, flags, same_as",
+    [
+        # YAML would read 010 as octal 8
+        (MC_RAMSEY + "seed: 010\n", [], MC_RAMSEY + "seed: 10\n"),
+        (MC_RAMSEY, ["--seed", "010"], MC_RAMSEY + "seed: 010\n"),
+        (
+            "scenario: fstirap-scan\n" + STIRAP_PULSES + "eta_max: 1e0\npoints: 2\n",
+            [],
+            "scenario: fstirap-scan\n" + STIRAP_PULSES + "eta_max: 1\npoints: 2\n",
+        ),
+        ("# a comment\n\n" + RABI_CONFIG.replace("points: 300", "points: 300  # rows"), [], RABI_CONFIG),
+    ],
+    ids=["octal-seed", "seed-flag", "exponent", "comments"],
+)
+def test_values_read_as_plain_decimals(tmp_path, text, flags, same_as):
+    assert _run_bytes(tmp_path, text, *flags) == _run_bytes(tmp_path, same_as)
 
 
 @pytest.mark.parametrize("points", [20, 70])

@@ -66,8 +66,8 @@ def test_public_names():
 
 
 def test_no_scenario_imports_scipy(tmp_path):
-    """No scenario imports SciPy, so the RF, STIRAP, Ramsey, echo and fit
-    scenarios all start without its import time."""
+    """No scenario imports SciPy or PyYAML, so the RF, STIRAP, Ramsey, echo
+    and fit scenarios all start without their import time."""
     data = Path(__file__).parent / "data"
     configs = {
         "rabi": "scenario: rabi\nomega0: 800 kHz\nomega_rabi: 95 kHz\nduration: 42 us\n"
@@ -84,7 +84,7 @@ def test_no_scenario_imports_scipy(tmp_path):
         config.write_text(text, encoding="utf-8")
         argv = ["run", str(config), "--out", str(tmp_path / f"{name}.csv")]
         script.append(f"assert spinorlab.cli.main({argv!r}) == 0, {name!r}")
-    script.append("print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    script.append("print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml')))")
     src = str(Path(spinorlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
